@@ -1,19 +1,17 @@
 """Command-line interface.
 
 Subcommands: reduce, rootform, dist, qt, grid, voronoi. File-processing
-commands parallelise per record with worker threads capped by the
-LATTICE_THREADS environment variable; results are merged in input order, so
-output bytes are identical for any thread count. All numbers print with 12
-significant digits.
+commands handle the records in input order in one thread. The
+LATTICE_THREADS environment variable is accepted for compatibility and
+ignored, so output bytes are the same whatever it says. All numbers print
+with 12 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import LatticeError, ParseError
 from .lattice import (
@@ -22,6 +20,7 @@ from .lattice import (
     MAX_ITER,
     NEG_TOL,
     conorms,
+    orient_obtuse,
     oriented_root_form,
     reduce_to_obtuse,
     root_form,
@@ -40,27 +39,6 @@ from .records import (
     project_to_2d,
 )
 from .voronoi import voronoi_domain, voronoi_vectors
-
-
-def _worker_count() -> int:
-    env = os.environ.get("LATTICE_THREADS")
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _map_in_order(fn, items):
-    """Apply a pure function to every item, preserving input order."""
-    workers = _worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -106,7 +84,7 @@ def _read_records(path: str, lenient: bool) -> list[LatticeRecord]:
 
 
 def _process_records(recs, fn, lenient: bool):
-    """Run fn over records in order; errors skip (lenient) or abort."""
+    """Run fn over every record, then warn of skips; errors skip (lenient) or abort."""
 
     def safe(rec):
         try:
@@ -117,7 +95,7 @@ def _process_records(recs, fn, lenient: bool):
             raise LatticeError(f"record {rec.id!r} (line {rec.line}): {exc}") from exc
 
     results = []
-    for rec, res in zip(recs, _map_in_order(safe, recs)):
+    for rec, res in zip(recs, [safe(rec) for rec in recs]):
         if isinstance(res, LatticeError):
             print(f"warning: skipped record {rec.id!r} (line {rec.line}): {res}", file=sys.stderr)
         else:
@@ -137,7 +115,7 @@ def _cmd_reduce(args) -> int:
     basis = _basis_from_flag(args.basis)
     obt = reduce_to_obtuse(superbase_from_basis(basis), args.tol, args.max_iter)
     rf = root_form(obt)
-    _, sign = oriented_root_form(basis, args.tol, args.max_iter)
+    _, sign = orient_obtuse(obt)
     p = [max(v, 0.0) for v in conorms(obt)]
     cells = [obt.v0.x, obt.v0.y, obt.v1.x, obt.v1.y, obt.v2.x, obt.v2.y, *p, *rf]
     print("v0x,v0y,v1x,v1y,v2x,v2y,p12,p01,p02,r12,r01,r02,sign,steps")

@@ -241,36 +241,47 @@ def conorms_from_vonorms(n: VonormTriple) -> ConormTriple:
     return c
 
 
-# Flip rules for the reduction step, per offending conorm. Each entry maps
-# (v0, v1, v2) to the new triple after negating one vector of the offending
-# pair and rebuilding the third so the sum stays zero.
-_FLIPS = {
-    "p12": lambda v0, v1, v2: (v1 - v2, -v1, v2),
-    "p01": lambda v0, v1, v2: (-v0, v1, v0 - v1),
-    "p02": lambda v0, v1, v2: (-v0, v0 - v2, v2),
-}
-# Tie order when several conorms are equally negative.
-_PAIR_ORDER = ("p12", "p01", "p02")
+def _offending_conorm(x0, y0, x1, y1, x2, y2, tol: float) -> int:
+    """Index in (p12, p01, p02) of the most negative conorm below -tol, or -1.
+
+    Ties go to the first in that order, so reduction_steps is reproducible.
+    """
+    best, best_val = -1, -tol
+    p = -(x1 * x2 + y1 * y2)
+    if p < best_val:
+        best, best_val = 0, p
+    p = -(x0 * x1 + y0 * y1)
+    if p < best_val:
+        best, best_val = 1, p
+    p = -(x0 * x2 + y0 * y2)
+    if p < best_val:
+        best = 2
+    return best
+
+
+def _flipped(x0, y0, x1, y1, x2, y2, k: int) -> tuple[float, ...]:
+    """Negate one vector of conorm k's pair and rebuild the third (sum stays 0)."""
+    if k == 0:  # p12: (v1 - v2, -v1, v2)
+        return (x1 - x2, y1 - y2, -x1, -y1, x2, y2)
+    if k == 1:  # p01: (-v0, v1, v0 - v1)
+        return (-x0, -y0, x1, y1, x0 - x1, y0 - y1)
+    return (-x0, -y0, x0 - x2, y0 - y2, x2, y2)  # p02: (-v0, v0 - v2, v2)
+
+
+def _coords(s: Superbase2) -> tuple[float, ...]:
+    return (s.v0.x, s.v0.y, s.v1.x, s.v1.y, s.v2.x, s.v2.y)
 
 
 def _most_negative_pair(s: Superbase2, tol: float) -> str | None:
-    """Name of the most negative conorm below -tol, or None if obtuse.
-
-    Ties resolve in the fixed order p12, p01, p02 so reduction_steps is
-    reproducible.
-    """
-    c = conorms(s)
-    best_name = None
-    best_val = -tol
-    for name, val in zip(_PAIR_ORDER, c):
-        if val < best_val:
-            best_name, best_val = name, val
-    return best_name
+    """Name of the most negative conorm below -tol, or None if obtuse."""
+    k = _offending_conorm(*_coords(s), tol)
+    return None if k < 0 else ConormTriple._fields[k]
 
 
 def _flip(s: Superbase2, pair: str) -> Superbase2:
     """Apply one reduction step to the named conorm pair."""
-    return Superbase2(*_FLIPS[pair](s.v0, s.v1, s.v2))
+    c = _flipped(*_coords(s), ConormTriple._fields.index(pair))
+    return Superbase2(Vec2(c[0], c[1]), Vec2(c[2], c[3]), Vec2(c[4], c[5]))
 
 
 def reduce_to_obtuse(
@@ -283,6 +294,9 @@ def reduce_to_obtuse(
     rebuilds the third vector; each step lowers one vonorm by four times the
     offending scalar product, which guarantees termination.
 
+    Validation happens at entry (Basis2, superbase_from_basis) and once at
+    exit (ObtuseSuperbase); the steps in between run on six plain floats.
+
     Args:
         s: any valid superbase.
         neg_tol: relative negativity tolerance (factor on max vonorm).
@@ -293,20 +307,20 @@ def reduce_to_obtuse(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    cur = s
+    x0, y0, x1, y1, x2, y2 = _coords(s)
     steps = 0
     while True:
-        tol = neg_tol * max(vonorms(cur))
-        pair = _most_negative_pair(cur, tol)
-        if pair is None:
+        tol = neg_tol * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
+        k = _offending_conorm(x0, y0, x1, y1, x2, y2, tol)
+        if k < 0:
             break
         if steps >= max_iter:
             raise IterationLimitExceeded(
                 f"reduction exceeded {max_iter} steps; input is numerically pathological"
             )
-        cur = _flip(cur, pair)
+        x0, y0, x1, y1, x2, y2 = _flipped(x0, y0, x1, y1, x2, y2, k)
         steps += 1
-    return ObtuseSuperbase(cur.v0, cur.v1, cur.v2, reduction_steps=steps)
+    return ObtuseSuperbase(Vec2(x0, y0), Vec2(x1, y1), Vec2(x2, y2), reduction_steps=steps)
 
 
 def _clamped_root_products(s: ObtuseSuperbase) -> tuple[float, float, float]:
@@ -362,7 +376,11 @@ def oriented_root_form(
     is positive when the last two entries ascend, negative when they descend,
     and neutral when the lattice is achiral (then the triple is fully sorted).
     """
-    obt = reduce_to_obtuse(superbase_from_basis(b), neg_tol, max_iter)
+    return orient_obtuse(reduce_to_obtuse(superbase_from_basis(b), neg_tol, max_iter))
+
+
+def orient_obtuse(obt: ObtuseSuperbase) -> tuple[OrientedRootForm, LatticeSign]:
+    """:func:`oriented_root_form` of a superbase that is already reduced."""
     w = list(_clamped_root_products(obt))
     if obt.det < 0.0:
         w[1], w[2] = w[2], w[1]

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .lattice import ObtuseSuperbase
 
 _PERMS_S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -130,6 +128,7 @@ def superbase_distance_linf(
     """
     if samples < 8:
         raise ValueError("samples must be >= 8")
+    import numpy as np  # deferred: the other metrics and the CLI never need it
     v = np.array([(w.x, w.y) for w in b1.vectors()])
     u = np.array([(w.x, w.y) for w in b2.vectors()])
 

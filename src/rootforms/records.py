@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateBasis, InvalidGridSpec, ParseError
 from .lattice import Basis2, Vec2
@@ -32,6 +31,9 @@ KINDS = {"basis": 4, "cell2": 3, "ortho3": 3, "mono3": 4}
 
 # Angles this close to 0 or 180 degrees make the projected cell degenerate.
 ANGLE_TOL_DEG = 1e-9
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,7 @@ class DensityGrid:
 
 def accumulate_grid(points, spec: GridSpec) -> DensityGrid:
     """Bin (x, y) pairs into a DensityGrid with the clamped floor rule."""
+    import numpy as np  # only grids need numpy; keeps it off the other commands' start-up
     res = spec.resolution
     counts = np.zeros((res, res), dtype=np.int64)
     overflow = 0
@@ -204,10 +207,9 @@ def emit_grid(grid: DensityGrid, fmt: str) -> bytes:
     raise ValueError(f"unknown grid format {fmt!r}")
 
 
-def _rows_top_down(grid: DensityGrid):
-    res = grid.spec.resolution
-    for iy in range(res - 1, -1, -1):
-        yield grid.counts[:, iy]
+def _rows_top_down(grid: DensityGrid) -> np.ndarray:
+    """View of the counts as image rows: row 0 is the largest y bin."""
+    return grid.counts[:, ::-1].T
 
 
 def _emit_csv(grid: DensityGrid) -> bytes:
@@ -218,17 +220,20 @@ def _emit_csv(grid: DensityGrid) -> bytes:
              format_number(s.y_min), format_number(s.y_max), str(s.resolution)]
         )
     ]
-    for row in _rows_top_down(grid):
-        lines.append(",".join(str(int(c)) for c in row))
+    rows = _rows_top_down(grid).tolist()
+    # k distinct nonzero counts need k(k+1)/2 points, so this table stays small
+    text = {c: str(c) for c in set().union(*rows)}
+    lines.extend(",".join(map(text.__getitem__, row)) for row in rows)
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _emit_pgm(grid: DensityGrid) -> bytes:
+    import numpy as np
     res = grid.spec.resolution
     max_count = int(grid.counts.max()) if grid.counts.size else 0
     maxval = min(65535, max(max_count, 1))
     header = f"P5\n{res} {res}\n{maxval}\n".encode("ascii")
-    image = np.stack([np.asarray(row) for row in _rows_top_down(grid)])
+    image = _rows_top_down(grid)
     if max_count > maxval:
         image = np.rint(image * (maxval / max_count)).astype(np.int64)
     dtype = ">u2" if maxval > 255 else np.uint8

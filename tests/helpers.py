@@ -11,13 +11,17 @@ import numpy as np
 
 from rootforms import (
     Basis2,
+    IterationLimitExceeded,
     LatticeSign,
     ObtuseSuperbase,
     RootForm,
     Superbase2,
     Vec2,
+    conorms,
     reconstruct_superbase,
+    vonorms,
 )
+from rootforms.lattice import MAX_ITER, NEG_TOL
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -105,3 +109,37 @@ def perturbed_superbase(rng, s: Superbase2, delta: float):
     v0 = -(v1 + v2)
     actual = max(e1.norm(), e2.norm(), (e1 + e2).norm())
     return Superbase2(v0, v1, v2), actual
+
+
+# Reference reduction for the float kernel in rootforms.lattice: the original
+# object-based loop, which builds and validates a Superbase2 (and its Vec2s)
+# at every step. The kernel must reproduce it bit for bit.
+_ORACLE_FLIPS = {
+    "p12": lambda v0, v1, v2: (v1 - v2, -v1, v2),
+    "p01": lambda v0, v1, v2: (-v0, v1, v0 - v1),
+    "p02": lambda v0, v1, v2: (-v0, v0 - v2, v2),
+}
+
+
+def oracle_reduce_to_obtuse(
+    s: Superbase2, neg_tol: float = NEG_TOL, max_iter: int = MAX_ITER
+) -> ObtuseSuperbase:
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    cur = s
+    steps = 0
+    while True:
+        best_val = -(neg_tol * max(vonorms(cur)))
+        pair = None
+        for name, val in zip(("p12", "p01", "p02"), conorms(cur)):
+            if val < best_val:
+                pair, best_val = name, val
+        if pair is None:
+            break
+        if steps >= max_iter:
+            raise IterationLimitExceeded(
+                f"reduction exceeded {max_iter} steps; input is numerically pathological"
+            )
+        cur = Superbase2(*_ORACLE_FLIPS[pair](cur.v0, cur.v1, cur.v2))
+        steps += 1
+    return ObtuseSuperbase(cur.v0, cur.v1, cur.v2, reduction_steps=steps)

@@ -1,6 +1,10 @@
 """Command-line interface, exercised through main() and real files."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +225,50 @@ class TestVoronoi:
         assert vert_lines[0] == "x,y"
         verts = {tuple(float(v) for v in ln.split(",")) for ln in vert_lines[1:]}
         assert verts == {(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env(**overrides):
+    env = {k: v for k, v in os.environ.items() if k != "LATTICE_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env.update(overrides)
+    return env
+
+
+class TestStartup:
+    def test_import_leaves_numpy_and_thread_pool_unloaded(self):
+        probe = (
+            "import sys, rootforms, rootforms.cli; "
+            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_lattice_threads_is_ignored(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS + "bad,basis,1,0,2,0\n")
+        outputs = []
+        for threads in (None, "0", "abc", "64"):
+            env = _child_env() if threads is None else _child_env(LATTICE_THREADS=threads)
+            csv_path, pgm_path = tmp_path / "g.csv", tmp_path / "g.pgm"
+            grid = subprocess.run(
+                [sys.executable, "-m", "rootforms", "grid", "-i", str(src), "-o", str(csv_path),
+                 "--pgm", str(pgm_path), "--res", "16", "--lenient"],
+                env=env, capture_output=True, timeout=60,
+            )
+            forms = subprocess.run(
+                [sys.executable, "-m", "rootforms", "rootform", "-i", str(src), "--oriented",
+                 "--lenient"],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert (grid.returncode, forms.returncode) == (0, 0), (threads, grid.stderr, forms.stderr)
+            outputs.append((csv_path.read_bytes(), pgm_path.read_bytes(), grid.stderr,
+                            forms.stdout, forms.stderr))
+        assert all(out == outputs[0] for out in outputs)
+        assert b"skipped record 'bad'" in outputs[0][4]
