@@ -18,7 +18,6 @@ from .lattice import (
     Basis2,
     Vec2,
     MAX_ITER,
-    NEG_TOL,
     conorms,
     orient_obtuse,
     oriented_root_form,
@@ -84,22 +83,15 @@ def _read_records(path: str, lenient: bool) -> list[LatticeRecord]:
 
 
 def _process_records(recs, fn, lenient: bool):
-    """Run fn over every record, then warn of skips; errors skip (lenient) or abort."""
-
-    def safe(rec):
-        try:
-            return fn(rec)
-        except LatticeError as exc:
-            if lenient:
-                return exc
-            raise LatticeError(f"record {rec.id!r} (line {rec.line}): {exc}") from exc
-
+    """Run fn over every record; errors skip with a warning (lenient) or abort."""
     results = []
-    for rec, res in zip(recs, [safe(rec) for rec in recs]):
-        if isinstance(res, LatticeError):
-            print(f"warning: skipped record {rec.id!r} (line {rec.line}): {res}", file=sys.stderr)
-        else:
-            results.append(res)
+    for rec in recs:
+        try:
+            results.append(fn(rec))
+        except LatticeError as exc:
+            if not lenient:
+                raise LatticeError(f"record {rec.id!r} (line {rec.line}): {exc}") from exc
+            print(f"warning: skipped record {rec.id!r} (line {rec.line}): {exc}", file=sys.stderr)
     return results
 
 
@@ -113,7 +105,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_reduce(args) -> int:
     basis = _basis_from_flag(args.basis)
-    obt = reduce_to_obtuse(superbase_from_basis(basis), args.tol, args.max_iter)
+    obt = reduce_to_obtuse(superbase_from_basis(basis), args.max_iter)
     rf = root_form(obt)
     _, sign = orient_obtuse(obt)
     p = [max(v, 0.0) for v in conorms(obt)]
@@ -237,8 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="obtuse superbase, conorms, root form of one basis")
     p.add_argument("--basis", required=True, metavar="X1,Y1,X2,Y2")
-    p.add_argument("--tol", type=float, default=NEG_TOL,
-                   help="relative conorm negativity tolerance")
     p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.set_defaults(func=_cmd_reduce)
 

@@ -284,13 +284,11 @@ def _flip(s: Superbase2, pair: str) -> Superbase2:
     return Superbase2(Vec2(c[0], c[1]), Vec2(c[2], c[3]), Vec2(c[4], c[5]))
 
 
-def reduce_to_obtuse(
-    s: Superbase2, neg_tol: float = NEG_TOL, max_iter: int = MAX_ITER
-) -> ObtuseSuperbase:
+def reduce_to_obtuse(s: Superbase2, max_iter: int = MAX_ITER) -> ObtuseSuperbase:
     """Reduce a superbase of a lattice to an obtuse superbase of the same lattice.
 
     Repeatedly negates one vector of the pair with the most negative conorm
-    (threshold ``-neg_tol * max(vonorms)``, re-evaluated each step) and
+    (threshold ``-NEG_TOL * max(vonorms)``, re-evaluated each step) and
     rebuilds the third vector; each step lowers one vonorm by four times the
     offending scalar product, which guarantees termination.
 
@@ -299,7 +297,6 @@ def reduce_to_obtuse(
 
     Args:
         s: any valid superbase.
-        neg_tol: relative negativity tolerance (factor on max vonorm).
         max_iter: step cap; exceeding it raises IterationLimitExceeded.
 
     Returns:
@@ -310,7 +307,7 @@ def reduce_to_obtuse(
     x0, y0, x1, y1, x2, y2 = _coords(s)
     steps = 0
     while True:
-        tol = neg_tol * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
+        tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
         k = _offending_conorm(x0, y0, x1, y1, x2, y2, tol)
         if k < 0:
             break
@@ -364,9 +361,7 @@ def _is_neutral(r: tuple[float, float, float], tol: float) -> bool:
     return (a <= tol) or (b - a <= tol) or (c - b <= tol)
 
 
-def oriented_root_form(
-    b: Basis2, neg_tol: float = NEG_TOL, max_iter: int = MAX_ITER
-) -> tuple[OrientedRootForm, LatticeSign]:
+def oriented_root_form(b: Basis2) -> tuple[OrientedRootForm, LatticeSign]:
     """Cyclic-canonical root products plus the chirality sign of the lattice.
 
     The obtuse superbase is labelled so det(v1, v2) > 0 (an odd relabelling
@@ -376,7 +371,7 @@ def oriented_root_form(
     is positive when the last two entries ascend, negative when they descend,
     and neutral when the lattice is achiral (then the triple is fully sorted).
     """
-    return orient_obtuse(reduce_to_obtuse(superbase_from_basis(b), neg_tol, max_iter))
+    return orient_obtuse(reduce_to_obtuse(superbase_from_basis(b)))
 
 
 def orient_obtuse(obt: ObtuseSuperbase) -> tuple[OrientedRootForm, LatticeSign]:

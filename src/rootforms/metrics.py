@@ -1,11 +1,10 @@
 """Distances between lattice isometry classes.
 
-Root metrics compare root-product triples with a Minkowski L_q norm,
-minimised over entry permutations: all six for the plain metric, the three
-cyclic ones for the orientation-preserving metric. The superbase distance is
-the minimax vector alignment over orthogonal maps and superbase symmetries,
-approximated by an angle grid plus golden-section refinement (the result is
-an upper bound on the true minimum).
+Root metrics compare root-product triples with a Minkowski L_q norm: the
+plain metric compares sorted triples entry by entry, the orientation-preserving
+metric takes the minimum over the three cyclic rotations. The superbase
+distance is the minimax vector alignment over orthogonal maps and superbase
+symmetries; the best rotation angle is solved in closed form.
 
 q is any real >= 1; math.inf selects the max norm.
 """
@@ -13,16 +12,12 @@ q is any real >= 1; math.inf selects the max norm.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .lattice import ObtuseSuperbase
 
 _PERMS_S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _PERMS_A3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-# Angular tolerance of the golden-section refinement, in radians.
-ANGLE_TOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_order(q: float) -> float:
@@ -47,27 +42,17 @@ def _lq(d0: float, d1: float, d2: float, q: float) -> float:
     return (d0**q + d1**q + d2**q) ** (1.0 / q)
 
 
-def _min_over_perms(
-    a: Sequence[float], b: Sequence[float], q: float, perms: Iterable[tuple[int, int, int]]
-) -> float:
-    a0, a1, a2 = a
-    best = math.inf
-    for i, j, k in perms:
-        d = _lq(abs(a0 - b[i]), abs(a1 - b[j]), abs(a2 - b[k]), q)
-        if d < best:
-            best = d
-    return best
-
-
 def root_metric(a: Sequence[float], b: Sequence[float], q: float = 2.0) -> float:
     """Distance between isometry classes given by root-product triples.
 
-    Inputs are canonicalised by sorting, after which the identity permutation
-    already attains the minimum for every L_q; the minimum over all six
-    permutations is still taken defensively.
+    Inputs are canonicalised by sorting and compared entry by entry: by the
+    rearrangement inequality, pairing sorted entries minimises every L_q over
+    all permutations.
     """
     q = _check_order(q)
-    return _min_over_perms(sorted(a), sorted(b), q, _PERMS_S3)
+    a0, a1, a2 = sorted(a)
+    b0, b1, b2 = sorted(b)
+    return _lq(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), q)
 
 
 def root_metric_oriented(a: Sequence[float], b: Sequence[float], q: float = 2.0) -> float:
@@ -77,7 +62,14 @@ def root_metric_oriented(a: Sequence[float], b: Sequence[float], q: float = 2.0)
     deliberately not sorted, since sorting would erase chirality.
     """
     q = _check_order(q)
-    return _min_over_perms(tuple(a), tuple(b), q, _PERMS_A3)
+    a0, a1, a2 = a
+    b = tuple(b)
+    best = math.inf
+    for i, j, k in _PERMS_A3:
+        d = _lq(abs(a0 - b[i]), abs(a1 - b[j]), abs(a2 - b[k]), q)
+        if d < best:
+            best = d
+    return best
 
 
 def continuity_bound(l: float, delta: float, q: float = 2.0) -> float:
@@ -93,90 +85,75 @@ def continuity_bound(l: float, delta: float, q: float = 2.0) -> float:
     return factor * math.sqrt(2.0 * l * delta)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
-    """Minimum value of a unimodal-ish f on [lo, hi] by golden-section search."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return min(fc, fd)
-
-
 def superbase_distance_linf(
-    b1: ObtuseSuperbase,
-    b2: ObtuseSuperbase,
-    samples: int = 720,
-    allow_reflection: bool = True,
+    b1: ObtuseSuperbase, b2: ObtuseSuperbase, allow_reflection: bool = True
 ) -> float:
     """Minimax vector alignment distance between two obtuse superbases.
 
     Minimises max_i |R(u_i) - v_i| over rotations R (plus reflections when
     allowed) and over the superbase symmetries: all relabellings of the three
     vectors, with the central symmetry covered by the half-turn rotation.
-    The rotation angle is optimised on a coarse grid of ``samples`` angles
-    followed by golden-section refinement to ANGLE_TOL radians, so the result
-    is an upper bound on the exact minimum.
+    The minimum over the rotation angle is solved in closed form, so the
+    result is exact up to rounding.
     """
-    if samples < 8:
-        raise ValueError("samples must be >= 8")
-    import numpy as np  # deferred: the other metrics and the CLI never need it
-    v = np.array([(w.x, w.y) for w in b1.vectors()])
-    u = np.array([(w.x, w.y) for w in b2.vectors()])
-
-    reflections = (False, True) if allow_reflection else (False,)
-    branches = []
-    for reflect in reflections:
-        um = u * np.array([1.0, -1.0]) if reflect else u
-        for perm in _PERMS_S3:
-            branches.append(um[list(perm)])
-    up_all = np.stack(branches)  # (nb, 3, 2)
-
-    # |R(u) - v|^2 = A - B cos(t) - C sin(t) per matched pair; scan all
-    # branches and angles in one shot.
-    a_c = np.sum(up_all * up_all, axis=2) + np.sum(v * v, axis=1)[None, :]
-    b_c = 2.0 * np.sum(up_all * v[None, :, :], axis=2)
-    c_c = 2.0 * (up_all[:, :, 0] * v[None, :, 1] - up_all[:, :, 1] * v[None, :, 0])
-    grid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    cos_g, sin_g = np.cos(grid), np.sin(grid)
-    worst = (
-        a_c[:, None, :]
-        - cos_g[None, :, None] * b_c[:, None, :]
-        - sin_g[None, :, None] * c_c[:, None, :]
-    ).max(axis=2)  # (nb, samples)
-
-    ks = np.argmin(worst, axis=1)
-    grid_best = np.sqrt(np.maximum(worst[np.arange(len(branches)), ks], 0.0))
-    step = 2.0 * math.pi / samples
-    # the objective's angle slope is at most the longest vector length, so a
-    # branch whose grid minimum exceeds the global one by more than a step's
-    # travel cannot contain the true minimum
-    slack = max(np.linalg.norm(u, axis=1)) * step * 1.0000001
+    v = [(w.x, w.y) for w in b1.vectors()]
+    u = [(w.x, w.y) for w in b2.vectors()]
+    mirrors = (u, [(x, -y) for x, y in u]) if allow_reflection else (u,)
     best = math.inf
-    for bi in np.argsort(grid_best):
-        if grid_best[bi] - slack > math.sqrt(max(best, 0.0)):
-            break
-        up = up_all[bi]
+    for um in mirrors:
+        for perm in _PERMS_S3:
+            best = _aligned_sq(v, [um[i] for i in perm], best)
+    return math.sqrt(best)
 
-        def worst_sq(t, up=up):
-            # direct subtraction: no cancellation near a perfect match
-            c, s = math.cos(t), math.sin(t)
-            return max(
-                (c * up[i, 0] - s * up[i, 1] - v[i, 0]) ** 2
-                + (s * up[i, 0] + c * up[i, 1] - v[i, 1]) ** 2
-                for i in range(3)
-            )
 
-        t0 = grid[ks[bi]]
-        local = _golden_min(worst_sq, t0 - step, t0 + step, ANGLE_TOL)
-        if local < best:
-            best = local
-    return math.sqrt(max(best, 0.0))
+def _aligned_sq(v, u, bound: float) -> float:
+    """min(bound, exact min over angles t of max_i |R_t(u_i) - v_i|^2).
+
+    Around the least-squares angle t0, with w = R_t0(u) and residual
+    e = w - v, pair i's misfit at t0 + s is the sinusoid
+    |e|^2 + 4 sin^2(s/2) P + 2 sin(s) Q, with P = |w|^2 - e.w and Q = w x e.
+    This form, unlike A - B cos t - C sin t, stays precise when e is tiny.
+    The minimum of the largest misfit lies at one sinusoid's own minimum or
+    where two cross; each crossing is a root of a quadratic in tan(s/2).
+    """
+    dot = crs = 0.0
+    for (ux, uy), (vx, vy) in zip(u, v):
+        dot += ux * vx + uy * vy
+        crs += ux * vy - uy * vx
+    t0 = math.atan2(crs, dot)
+    c0, s0 = math.cos(t0), math.sin(t0)
+    terms = []
+    for (ux, uy), (vx, vy) in zip(u, v):
+        wx, wy = c0 * ux - s0 * uy, s0 * ux + c0 * uy
+        ex, ey = wx - vx, wy - vy
+        terms.append((ex * ex + ey * ey, wx * wx + wy * wy - ex * wx - ey * wy, wx * ey - wy * ex))
+    if sum(t[0] for t in terms) >= 3.0 * bound:
+        return bound  # the largest misfit is at least the mean, which t0 minimises
+    # s = pi also stands for the crossing at tan(s/2) = infinity
+    offsets = [0.0, math.pi]
+    for i, (e_i, p_i, q_i) in enumerate(terms):
+        offsets.append(math.atan2(-q_i, p_i))
+        for e_j, p_j, q_j in terms[i + 1:]:
+            a, b, c = e_i - e_j + 4.0 * (p_i - p_j), 4.0 * (q_i - q_j), e_i - e_j
+            m = max(abs(a), abs(b), abs(c))
+            if m == 0.0:
+                continue  # identical sinusoids
+            a, b, c = a / m, b / m, c / m  # keeps b*b - 4ac in range
+            disc = b * b - 4.0 * a * c
+            if disc < 0.0:
+                continue
+            h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            for num, den in ((h, a), (c, h)):  # cancellation-free roots
+                if den != 0.0:
+                    offsets.append(2.0 * math.atan(num / den))
+    best = bound
+    for s in offsets:
+        # direct subtraction: no cancellation near a perfect match
+        c, sn = math.cos(t0 + s), math.sin(t0 + s)
+        worst = max(
+            (c * ux - sn * uy - vx) ** 2 + (sn * ux + c * uy - vy) ** 2
+            for (ux, uy), (vx, vy) in zip(u, v)
+        )
+        if worst < best:
+            best = worst
+    return best

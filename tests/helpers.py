@@ -143,3 +143,87 @@ def oracle_reduce_to_obtuse(
         cur = Superbase2(*_ORACLE_FLIPS[pair](cur.v0, cur.v1, cur.v2))
         steps += 1
     return ObtuseSuperbase(cur.v0, cur.v1, cur.v2, reduction_steps=steps)
+
+
+# Reference alignment for rootforms.metrics.superbase_distance_linf: the
+# original sampled search, an angle grid refined by golden-section search.
+# Its result is an upper bound on the true minimum; the closed form must
+# never exceed it by more than rounding and may undercut it only slightly.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_PERMS_S3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def _golden_min(f, lo: float, hi: float, tol: float) -> float:
+    """Minimum value of a unimodal-ish f on [lo, hi] by golden-section search."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return min(fc, fd)
+
+
+def oracle_superbase_distance_linf(
+    b1: ObtuseSuperbase,
+    b2: ObtuseSuperbase,
+    samples: int = 720,
+    allow_reflection: bool = True,
+) -> float:
+    v = np.array([(w.x, w.y) for w in b1.vectors()])
+    u = np.array([(w.x, w.y) for w in b2.vectors()])
+
+    reflections = (False, True) if allow_reflection else (False,)
+    branches = []
+    for reflect in reflections:
+        um = u * np.array([1.0, -1.0]) if reflect else u
+        for perm in _PERMS_S3:
+            branches.append(um[list(perm)])
+    up_all = np.stack(branches)  # (nb, 3, 2)
+
+    # |R(u) - v|^2 = A - B cos(t) - C sin(t) per matched pair
+    a_c = np.sum(up_all * up_all, axis=2) + np.sum(v * v, axis=1)[None, :]
+    b_c = 2.0 * np.sum(up_all * v[None, :, :], axis=2)
+    c_c = 2.0 * (up_all[:, :, 0] * v[None, :, 1] - up_all[:, :, 1] * v[None, :, 0])
+    grid = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    cos_g, sin_g = np.cos(grid), np.sin(grid)
+    worst = (
+        a_c[:, None, :]
+        - cos_g[None, :, None] * b_c[:, None, :]
+        - sin_g[None, :, None] * c_c[:, None, :]
+    ).max(axis=2)  # (nb, samples)
+
+    ks = np.argmin(worst, axis=1)
+    grid_best = np.sqrt(np.maximum(worst[np.arange(len(branches)), ks], 0.0))
+    step = 2.0 * math.pi / samples
+    # the objective's angle slope is at most the longest vector length, so a
+    # branch whose grid minimum exceeds the global one by more than a step's
+    # travel cannot contain the true minimum
+    slack = max(np.linalg.norm(u, axis=1)) * step * 1.0000001
+    best = math.inf
+    for bi in np.argsort(grid_best):
+        if grid_best[bi] - slack > math.sqrt(max(best, 0.0)):
+            break
+        up = up_all[bi]
+
+        def worst_sq(t, up=up):
+            # direct subtraction: no cancellation near a perfect match
+            c, s = math.cos(t), math.sin(t)
+            return max(
+                (c * up[i, 0] - s * up[i, 1] - v[i, 0]) ** 2
+                + (s * up[i, 0] + c * up[i, 1] - v[i, 1]) ** 2
+                for i in range(3)
+            )
+
+        t0 = grid[ks[bi]]
+        local = _golden_min(worst_sq, t0 - step, t0 + step, 1e-10)
+        if local < best:
+            best = local
+    return math.sqrt(max(best, 0.0))

@@ -241,6 +241,9 @@ class TestStartup:
     def test_import_leaves_numpy_and_thread_pool_unloaded(self):
         probe = (
             "import sys, rootforms, rootforms.cli; "
+            "from rootforms import RootForm, reconstruct_superbase as sb; "
+            "a, b = RootForm(0.5, 1.0, 1.6), RootForm(0.6, 1.0, 1.5); "
+            "rootforms.superbase_distance_linf(sb(a), sb(b)); rootforms.root_metric(a, b); "
             "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))"
         )
         proc = subprocess.run(

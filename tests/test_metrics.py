@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     make_rng,
+    oracle_superbase_distance_linf,
     perturbed_superbase,
     random_obtuse_superbase,
     random_oriented_form,
@@ -228,11 +229,53 @@ class TestSuperbaseDistance:
         assert with_refl <= 1e-8
         assert without > 0.1
 
-    def test_samples_validation(self):
-        rng = make_rng(43)
-        s = random_obtuse_superbase(rng)
-        with pytest.raises(ValueError):
-            superbase_distance_linf(s, s, samples=4)
+
+
+def _disguised_near_duplicate(rng, s, delta):
+    """s perturbed by delta, reduced, then rotated, maybe mirrored and relabelled."""
+    obt = reduce_to_obtuse(perturbed_superbase(rng, s, delta)[0])
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    vs = [w.rotated(angle) for w in obt.vectors()]
+    if rng.random() < 0.5:
+        vs = [Vec2(-w.x, w.y) for w in vs]
+    order = rng.permutation(3)
+    return ObtuseSuperbase(*(vs[i] for i in order))
+
+
+def _alignment_pairs(family, rng):
+    if family == "random":
+        for _ in range(40):
+            yield random_obtuse_superbase(rng), random_obtuse_superbase(rng)
+        return
+    if family.startswith("near"):
+        scale = {"near": 1.0, "near_1e100": 1e100, "near_1e-100": 1e-100}[family]
+        for _ in range(60):
+            s = random_obtuse_superbase(rng, scale=scale)
+            delta = 10.0 ** rng.uniform(-12, -1) * scale
+            yield s, _disguised_near_duplicate(rng, s, delta)
+        return
+    forms = {"square": (0.0, 1.0, 1.0), "hexagonal": (1.0, 1.0, 1.0),
+             "rectangular": (0.0, 1.0, 2.0), "isosceles": (0.7, 0.7, 1.5)}
+    s = reconstruct_superbase(RootForm(*forms[family]))
+    for _ in range(25):
+        yield s, _disguised_near_duplicate(rng, s, 10.0 ** rng.uniform(-12, -1))
+
+
+@pytest.mark.parametrize("family", [
+    "random", "near", "near_1e100", "near_1e-100",
+    "square", "hexagonal", "rectangular", "isosceles",
+])
+def test_alignment_matches_sampled_reference(family):
+    # the reference is an upper bound on the true minimum: the closed form
+    # may undercut it a little, never exceed it beyond rounding
+    rng = make_rng(sum(map(ord, family)))
+    for s, t in _alignment_pairs(family, rng):
+        scale = max(w.norm() for w in (*s.vectors(), *t.vectors()))
+        for reflect in (True, False):
+            exact = superbase_distance_linf(s, t, allow_reflection=reflect)
+            ref = oracle_superbase_distance_linf(s, t, allow_reflection=reflect)
+            assert exact <= ref + 1e-15 * scale, (family, reflect)
+            assert ref - exact <= 1e-9 * scale, (family, reflect)
 
 
 class TestInverseContinuity:
