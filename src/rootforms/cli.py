@@ -82,13 +82,13 @@ def _read_records(path: str, lenient: bool) -> list[LatticeRecord]:
     return out
 
 
-def _process_records(recs, fn, lenient: bool):
-    """Run fn over every record; errors skip with a warning (lenient) or abort."""
+def _process_records(recs, lenient: bool):
+    """Root forms of every record; errors skip with a warning (lenient) or abort."""
     results = []
     for rec in recs:
         try:
-            results.append(fn(rec))
-        except LatticeError as exc:
+            results.append(_record_forms(rec))
+        except ValueError as exc:  # LatticeError, or a non-finite intermediate vector
             if not lenient:
                 raise LatticeError(f"record {rec.id!r} (line {rec.line}): {exc}") from exc
             print(f"warning: skipped record {rec.id!r} (line {rec.line}): {exc}", file=sys.stderr)
@@ -123,7 +123,7 @@ def _record_forms(rec: LatticeRecord):
 
 def _cmd_rootform(args) -> int:
     recs = _read_records(args.input, args.lenient)
-    rows = _process_records(recs, _record_forms, args.lenient)
+    rows = _process_records(recs, args.lenient)
     lines = ["id,r12,r01,r02,sign"]
     for rec_id, orf, sign in rows:
         triple = tuple(orf) if args.oriented else tuple(sorted(orf))
@@ -157,7 +157,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_qt(args) -> int:
     recs = _read_records(args.input, args.lenient)
-    rows = _process_records(recs, _record_forms, args.lenient)
+    rows = _process_records(recs, args.lenient)
     lines = ["id,x,y"]
     for rec_id, orf, sign in rows:
         pt = to_quotient_triangle_oriented(orf, sign)
@@ -175,7 +175,7 @@ _GRID_DEFAULTS = {
 
 def _cmd_grid(args) -> int:
     recs = _read_records(args.input, args.lenient)
-    rows = _process_records(recs, _record_forms, args.lenient)
+    rows = _process_records(recs, args.lenient)
     if args.mode == "rootpair":
         points = [(sorted(orf)[1], sorted(orf)[2]) for _, orf, _ in rows]
     else:

@@ -21,8 +21,9 @@ outside the bounds only bump ``overflow_count``.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DegenerateBasis, InvalidGridSpec, ParseError
 from .lattice import Basis2, Vec2
@@ -31,9 +32,6 @@ KINDS = {"basis": 4, "cell2": 3, "ortho3": 3, "mono3": 4}
 
 # Angles this close to 0 or 180 degrees make the projected cell degenerate.
 ANGLE_TOL_DEG = 1e-9
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -157,21 +155,20 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Pixel counts over a GridSpec; counts[ix, iy] with ix along x.
+    """Pixel counts over a GridSpec; counts[ix][iy] with ix along x.
 
     sum(counts) + overflow_count equals the number of ingested points.
     """
 
     spec: GridSpec
-    counts: np.ndarray
+    counts: list[list[int]]
     overflow_count: int
 
 
 def accumulate_grid(points, spec: GridSpec) -> DensityGrid:
     """Bin (x, y) pairs into a DensityGrid with the clamped floor rule."""
-    import numpy as np  # only grids need numpy; keeps it off the other commands' start-up
     res = spec.resolution
-    counts = np.zeros((res, res), dtype=np.int64)
+    counts = [[0] * res for _ in range(res)]
     overflow = 0
     x_span = spec.x_max - spec.x_min
     y_span = spec.y_max - spec.y_min
@@ -181,7 +178,7 @@ def accumulate_grid(points, spec: GridSpec) -> DensityGrid:
             continue
         ix = min(int(math.floor((x - spec.x_min) / x_span * res)), res - 1)
         iy = min(int(math.floor((y - spec.y_min) / y_span * res)), res - 1)
-        counts[ix, iy] += 1
+        counts[ix][iy] += 1
     return DensityGrid(spec, counts, overflow)
 
 
@@ -207,9 +204,9 @@ def emit_grid(grid: DensityGrid, fmt: str) -> bytes:
     raise ValueError(f"unknown grid format {fmt!r}")
 
 
-def _rows_top_down(grid: DensityGrid) -> np.ndarray:
-    """View of the counts as image rows: row 0 is the largest y bin."""
-    return grid.counts[:, ::-1].T
+def _rows_top_down(grid: DensityGrid) -> list[tuple[int, ...]]:
+    """The counts as image rows: row 0 is the largest y bin."""
+    return list(zip(*grid.counts))[::-1]
 
 
 def _emit_csv(grid: DensityGrid) -> bytes:
@@ -220,7 +217,7 @@ def _emit_csv(grid: DensityGrid) -> bytes:
              format_number(s.y_min), format_number(s.y_max), str(s.resolution)]
         )
     ]
-    rows = _rows_top_down(grid).tolist()
+    rows = _rows_top_down(grid)
     # k distinct nonzero counts need k(k+1)/2 points, so this table stays small
     text = {c: str(c) for c in set().union(*rows)}
     lines.extend(",".join(map(text.__getitem__, row)) for row in rows)
@@ -228,13 +225,16 @@ def _emit_csv(grid: DensityGrid) -> bytes:
 
 
 def _emit_pgm(grid: DensityGrid) -> bytes:
-    import numpy as np
     res = grid.spec.resolution
-    max_count = int(grid.counts.max()) if grid.counts.size else 0
+    max_count = max(map(max, grid.counts), default=0)
     maxval = min(65535, max(max_count, 1))
     header = f"P5\n{res} {res}\n{maxval}\n".encode("ascii")
-    image = _rows_top_down(grid)
-    if max_count > maxval:
-        image = np.rint(image * (maxval / max_count)).astype(np.int64)
-    dtype = ">u2" if maxval > 255 else np.uint8
-    return header + image.astype(dtype).tobytes()
+    rows = _rows_top_down(grid)
+    if max_count > maxval:  # round() takes ties to even
+        rows = [[round(c * (maxval / max_count)) for c in row] for row in rows]
+    if maxval <= 255:
+        return header + b"".join(map(bytes, rows))
+    image = array("H", (c for row in rows for c in row))
+    if sys.byteorder == "little":
+        image.byteswap()  # PGM stores 16-bit samples big-endian
+    return header + image.tobytes()

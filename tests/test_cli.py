@@ -99,6 +99,18 @@ class TestRootform:
         assert "line 2" in err and "collinear" in err
         assert len(out.strip().splitlines()) == 2  # header + ok
 
+    def test_non_finite_intermediate_vector_is_a_record_error(self, tmp_path, capsys):
+        # the basis is finite, but v0 = -(v1 + v2) overflows to inf
+        src = tmp_path / "in.csv"
+        src.write_text("ok,cell2,1,1,90\nbig,basis,1e308,1e200,1e308,2e200\nok2,cell2,2,2,90\n")
+        code, out, err = run(capsys, "rootform", "-i", str(src), "--lenient")
+        assert code == 0, err
+        assert "skipped record 'big' (line 2)" in err
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["ok", "ok2"]
+        code, _, err = run(capsys, "rootform", "-i", str(src))
+        assert code == 1
+        assert "record 'big' (line 2)" in err
+
 
 class TestDist:
     def test_rootform_inputs(self, capsys):
@@ -252,6 +264,24 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_grid_leaves_numpy_unloaded(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS)
+        argv = ["grid", "-i", str(src), "-o", str(tmp_path / "g.csv"),
+                "--pgm", str(tmp_path / "g.pgm"), "--res", "16"]
+        probe = (
+            "import sys, rootforms.cli; "
+            f"code = rootforms.cli.main({argv!r}); "
+            "print(code, 'numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"
+        assert (tmp_path / "g.pgm").read_bytes().startswith(b"P5\n16 16\n")
 
     def test_lattice_threads_is_ignored(self, tmp_path):
         src = tmp_path / "in.csv"
