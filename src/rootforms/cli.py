@@ -17,7 +17,6 @@ from .errors import LatticeError, ParseError
 from .lattice import (
     Basis2,
     Vec2,
-    MAX_ITER,
     conorms,
     orient_obtuse,
     oriented_root_form,
@@ -105,7 +104,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _cmd_reduce(args) -> int:
     basis = _basis_from_flag(args.basis)
-    obt = reduce_to_obtuse(superbase_from_basis(basis), args.max_iter)
+    obt = reduce_to_obtuse(superbase_from_basis(basis))
     rf = root_form(obt)
     _, sign = orient_obtuse(obt)
     p = [max(v, 0.0) for v in conorms(obt)]
@@ -229,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="obtuse superbase, conorms, root form of one basis")
     p.add_argument("--basis", required=True, metavar="X1,Y1,X2,Y2")
-    p.add_argument("--max-iter", type=int, default=MAX_ITER)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("rootform", help="root forms of a record file")

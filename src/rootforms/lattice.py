@@ -26,13 +26,14 @@ from .errors import (
     DegenerateBasis,
     DegenerateLattice,
     IterationLimitExceeded,
+    LatticeError,
     NegativeConorm,
 )
 
 # Relative determinant threshold below which a basis counts as degenerate.
 DEG_TOL = 1e-12
-# Relative factor for "this conorm is genuinely negative" in the reduction
-# loop; scaled by max(vonorms) of the current superbase.
+# Relative factor for "this conorm is genuinely negative" when deciding
+# whether a superbase is obtuse; scaled by its max(vonorms).
 NEG_TOL = 1e-10
 # Relative factor for root-product ties (neutral/achiral detection); scaled
 # by the largest root product.
@@ -132,6 +133,14 @@ class LatticeSign(Enum):
     NEGATIVE = "negative"
 
 
+def _check_in_range(det: float, norm_sq: float) -> None:
+    """Reject coordinates whose determinant or largest squared length is not finite."""
+    if not (abs(det) < math.inf and norm_sq < math.inf):  # False for NaN too
+        raise LatticeError(
+            "coordinates overflow: the determinant or a squared length is not finite"
+        )
+
+
 @dataclass(frozen=True)
 class Basis2:
     """Two independent plane vectors generating a lattice."""
@@ -140,10 +149,12 @@ class Basis2:
     v2: Vec2
 
     def __post_init__(self):
-        scale = max(self.v1.norm(), self.v2.norm())
-        if abs(self.det) <= DEG_TOL * scale * scale:
+        det = self.det
+        n = max(self.v1.norm_sq(), self.v2.norm_sq())
+        _check_in_range(det, n)
+        if abs(det) <= DEG_TOL * n:
             raise DegenerateBasis(
-                f"basis determinant {self.det:g} below tolerance for scale {scale:g}"
+                f"basis determinant {det:g} below tolerance for scale {math.sqrt(n):g}"
             )
 
     @property
@@ -160,11 +171,13 @@ class Superbase2:
     v2: Vec2
 
     def __post_init__(self):
+        det = self.det
+        n = max(self.v0.norm_sq(), self.v1.norm_sq(), self.v2.norm_sq())
+        _check_in_range(det, n)
         s = self.v0 + self.v1 + self.v2
-        scale = max(self.v0.norm(), self.v1.norm(), self.v2.norm())
-        if s.norm() > SUM_TOL * scale:
+        if s.norm() > SUM_TOL * math.sqrt(n):
             raise ValueError(f"superbase vectors sum to ({s.x:g}, {s.y:g}), not zero")
-        if abs(self.v1.cross(self.v2)) <= DEG_TOL * scale * scale:
+        if abs(det) <= DEG_TOL * n:
             raise DegenerateBasis("superbase basis vectors are collinear")
 
     @property
@@ -180,8 +193,8 @@ class Superbase2:
 class ObtuseSuperbase(Superbase2):
     """Superbase with all conorms >= 0 (up to tolerance).
 
-    reduction_steps counts the sign-flip steps that produced it; zero for a
-    superbase that was already obtuse.
+    reduction_steps counts the Lagrange-Gauss passes that produced it; zero
+    for a superbase that was already obtuse and came back unchanged.
     """
 
     reduction_steps: int = 0
@@ -241,83 +254,73 @@ def conorms_from_vonorms(n: VonormTriple) -> ConormTriple:
     return c
 
 
-def _offending_conorm(x0, y0, x1, y1, x2, y2, tol: float) -> int:
-    """Index in (p12, p01, p02) of the most negative conorm below -tol, or -1.
+def lagrange_gauss(x1: float, y1: float, x2: float, y2: float, max_iter: int = MAX_ITER):
+    """Lagrange-Gauss reduction of the plane basis ((x1, y1), (x2, y2)) on floats.
 
-    Ties go to the first in that order, so reduction_steps is reproducible.
+    Each pass subtracts the nearest integer multiple of the shorter vector
+    from the longer one, then swaps them if the result came out shorter; the
+    lengths shrink geometrically, so a pass count near MAX_ITER means the
+    floats went wrong, not that the basis was skewed.
+
+    Returns ((x1, y1, x2, y2), (m1, m2), passes): the reduced pair u1, u2 with
+    |u1| <= |u2| and |u1 . u2| <= |u1|^2 / 2, the integer rows m1, m2 that
+    express u1, u2 in the input pair, and the number of passes made.
     """
-    best, best_val = -1, -tol
-    p = -(x1 * x2 + y1 * y2)
-    if p < best_val:
-        best, best_val = 0, p
-    p = -(x0 * x1 + y0 * y1)
-    if p < best_val:
-        best, best_val = 1, p
-    p = -(x0 * x2 + y0 * y2)
-    if p < best_val:
-        best = 2
-    return best
-
-
-def _flipped(x0, y0, x1, y1, x2, y2, k: int) -> tuple[float, ...]:
-    """Negate one vector of conorm k's pair and rebuild the third (sum stays 0)."""
-    if k == 0:  # p12: (v1 - v2, -v1, v2)
-        return (x1 - x2, y1 - y2, -x1, -y1, x2, y2)
-    if k == 1:  # p01: (-v0, v1, v0 - v1)
-        return (-x0, -y0, x1, y1, x0 - x1, y0 - y1)
-    return (-x0, -y0, x0 - x2, y0 - y2, x2, y2)  # p02: (-v0, v0 - v2, v2)
-
-
-def _coords(s: Superbase2) -> tuple[float, ...]:
-    return (s.v0.x, s.v0.y, s.v1.x, s.v1.y, s.v2.x, s.v2.y)
-
-
-def _most_negative_pair(s: Superbase2, tol: float) -> str | None:
-    """Name of the most negative conorm below -tol, or None if obtuse."""
-    k = _offending_conorm(*_coords(s), tol)
-    return None if k < 0 else ConormTriple._fields[k]
-
-
-def _flip(s: Superbase2, pair: str) -> Superbase2:
-    """Apply one reduction step to the named conorm pair."""
-    c = _flipped(*_coords(s), ConormTriple._fields.index(pair))
-    return Superbase2(Vec2(c[0], c[1]), Vec2(c[2], c[3]), Vec2(c[4], c[5]))
+    a1, b1, a2, b2 = 1, 0, 0, 1  # u1 = a1 v1 + b1 v2, u2 = a2 v1 + b2 v2
+    n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+    if n1 > n2:
+        x1, y1, n1, a1, b1, x2, y2, n2, a2, b2 = x2, y2, n2, a2, b2, x1, y1, n1, a1, b1
+    passes = 0
+    while True:
+        if passes >= max_iter:
+            raise IterationLimitExceeded(f"reduction exceeded {max_iter} steps")
+        if n1 == 0.0:
+            raise LatticeError("a squared length underflows to zero; rescale the coordinates")
+        passes += 1
+        t = round((x1 * x2 + y1 * y2) / n1)
+        if t:
+            x2, y2, a2, b2 = x2 - t * x1, y2 - t * y1, a2 - t * a1, b2 - t * b1
+            n2 = x2 * x2 + y2 * y2
+        if n2 >= n1:
+            return (x1, y1, x2, y2), ((a1, b1), (a2, b2)), passes
+        x1, y1, n1, a1, b1, x2, y2, n2, a2, b2 = x2, y2, n2, a2, b2, x1, y1, n1, a1, b1
 
 
 def reduce_to_obtuse(s: Superbase2, max_iter: int = MAX_ITER) -> ObtuseSuperbase:
     """Reduce a superbase of a lattice to an obtuse superbase of the same lattice.
 
-    Repeatedly negates one vector of the pair with the most negative conorm
-    (threshold ``-NEG_TOL * max(vonorms)``, re-evaluated each step) and
-    rebuilds the third vector; each step lowers one vonorm by four times the
-    offending scalar product, which guarantees termination.
+    A superbase with no conorm below ``-NEG_TOL * max(vonorms)`` is returned
+    unchanged with zero steps. Otherwise (v1, v2) is Lagrange-Gauss reduced
+    to (u1, u2), u2 is negated when u1 . u2 > 0, and the result is
+    (-(u1 + u2), u1, u2): with |u1 . u2| <= |u1|^2 / 2 <= |u2|^2 / 2 and
+    u1 . u2 <= 0 all three conorms are nonnegative. This is the 2D case of
+    Selling reduction.
 
     Validation happens at entry (Basis2, superbase_from_basis) and once at
-    exit (ObtuseSuperbase); the steps in between run on six plain floats.
+    exit (ObtuseSuperbase); the steps in between run on plain floats.
 
     Args:
         s: any valid superbase.
-        max_iter: step cap; exceeding it raises IterationLimitExceeded.
+        max_iter: cap on the Lagrange-Gauss passes; exceeding it raises
+            IterationLimitExceeded.
 
     Returns:
-        ObtuseSuperbase spanning the same lattice, with reduction_steps set.
+        ObtuseSuperbase spanning the same lattice, with reduction_steps set
+        to the number of passes.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    x0, y0, x1, y1, x2, y2 = _coords(s)
-    steps = 0
-    while True:
-        tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
-        k = _offending_conorm(x0, y0, x1, y1, x2, y2, tol)
-        if k < 0:
-            break
-        if steps >= max_iter:
-            raise IterationLimitExceeded(
-                f"reduction exceeded {max_iter} steps; input is numerically pathological"
-            )
-        x0, y0, x1, y1, x2, y2 = _flipped(x0, y0, x1, y1, x2, y2, k)
-        steps += 1
-    return ObtuseSuperbase(Vec2(x0, y0), Vec2(x1, y1), Vec2(x2, y2), reduction_steps=steps)
+    x0, y0, x1, y1, x2, y2 = s.v0.x, s.v0.y, s.v1.x, s.v1.y, s.v2.x, s.v2.y
+    tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
+    # written so that a NaN product does not count as a negative conorm
+    if not (x1 * x2 + y1 * y2 > tol or x0 * x1 + y0 * y1 > tol or x0 * x2 + y0 * y2 > tol):
+        return ObtuseSuperbase(s.v0, s.v1, s.v2, reduction_steps=0)
+    (x1, y1, x2, y2), _, steps = lagrange_gauss(x1, y1, x2, y2, max_iter)
+    if x1 * x2 + y1 * y2 > 0.0:
+        x2, y2 = -x2, -y2
+    return ObtuseSuperbase(
+        Vec2(-(x1 + x2), -(y1 + y2)), Vec2(x1, y1), Vec2(x2, y2), reduction_steps=steps
+    )
 
 
 def _clamped_root_products(s: ObtuseSuperbase) -> tuple[float, float, float]:

@@ -59,7 +59,9 @@ def to_quotient_triangle(rf: RootForm) -> QTPoint:
     """Quotient-triangle point of a sorted root form."""
     b12, b01, b02 = to_full_triangle(rf)
     x = 0.5 * (b02 - b01)
-    return QTPoint(x, b12, x)
+    # b12 is the smallest of three shares summing to 1, so at most 1/3;
+    # rounding can leave it one ulp above, outside the triangle
+    return QTPoint(x, min(b12, 1.0 / 3.0), x)
 
 
 def to_quotient_triangle_oriented(orf: OrientedRootForm, sign: LatticeSign) -> QTPoint:

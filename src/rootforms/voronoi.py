@@ -1,15 +1,18 @@
 """Brute-force Voronoi vectors and domains of 2D lattices.
 
-Independent of the superbase reduction machinery, so it can act as a
-correctness oracle for it: a nonzero lattice vector is a Voronoi vector
-iff it is shortest in its class modulo the doubled lattice, and strict iff
-the pair +-v are the only shortest members. The Voronoi domain is the
-intersection of the half-planes p . v <= v^2 / 2 over the Voronoi vectors.
+A nonzero lattice vector is a Voronoi vector iff it is shortest in its class
+modulo the doubled lattice, and strict iff the pair +-v are the only
+shortest members. The Voronoi domain is the intersection of the half-planes
+p . v <= v^2 / 2 over the Voronoi vectors.
 
-Input bases are Gauss-reduced internally (shortest vector pair) before
-enumeration, which keeps the search ball guaranteed to contain all class
-minima even for badly skewed input bases; reported integer coefficients
-always refer to the original basis.
+Input bases are first reduced with ``lattice.lagrange_gauss``, the helper
+``reduce_to_obtuse`` uses too. That only picks the enumeration basis: the
+search ball is sized from the basis it returns and holds every class minimum
+whatever basis of the lattice that is, so reducing only keeps the enumeration
+small. ``verify_partial_sums`` therefore judges a superbase against a
+brute-force enumeration, not against a second reduction, which lets it serve
+as an oracle for the reduction. Reported integer coefficients always refer
+to the original basis.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import Basis2, Superbase2, Vec2, conorms, vonorms, NEG_TOL
+from .lattice import Basis2, Superbase2, Vec2, conorms, lagrange_gauss, vonorms, NEG_TOL
 
 # Two candidate lengths tie when they differ by less than this, relatively.
 TIE_TOL = 1e-9
@@ -49,25 +52,6 @@ class VoronoiDomainPolygon:
         return 0.5 * total
 
 
-def _gauss_reduce(b: Basis2) -> tuple[Vec2, Vec2, tuple[tuple[int, int], tuple[int, int]]]:
-    """Lagrange-Gauss reduction, returning (u1, u2) and the integer rows
-    expressing them in the original basis."""
-    u1, u2 = b.v1, b.v2
-    m1, m2 = (1, 0), (0, 1)
-    if u1.norm_sq() > u2.norm_sq():
-        u1, u2, m1, m2 = u2, u1, m2, m1
-    while True:
-        t = round(u1.dot(u2) / u1.norm_sq())
-        if t != 0:
-            u2 = u2 - Vec2(t * u1.x, t * u1.y)
-            m2 = (m2[0] - t * m1[0], m2[1] - t * m1[1])
-        if u2.norm_sq() < u1.norm_sq():
-            u1, u2, m1, m2 = u2, u1, m2, m1
-        else:
-            break
-    return u1, u2, (m1, m2)
-
-
 def voronoi_vectors(b: Basis2, search_radius_factor: float = 4.0) -> list[VoronoiVector]:
     """All shortest members of the three nonzero classes modulo 2*lattice.
 
@@ -79,7 +63,8 @@ def voronoi_vectors(b: Basis2, search_radius_factor: float = 4.0) -> list[Vorono
     """
     if search_radius_factor < 2.0:
         raise ValueError("search_radius_factor must be >= 2")
-    u1, u2, (m1, m2) = _gauss_reduce(b)
+    (x1, y1, x2, y2), (m1, m2), _ = lagrange_gauss(b.v1.x, b.v1.y, b.v2.x, b.v2.y)
+    u1, u2 = Vec2(x1, y1), Vec2(x2, y2)
     radius = search_radius_factor * max(u1.norm(), u2.norm())
     det = abs(u1.cross(u2))
     amax = int(math.floor(radius * u2.norm() / det)) + 1

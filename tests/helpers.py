@@ -6,6 +6,7 @@ Everything takes an explicit numpy Generator so each test pins its own seed.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from rootforms import (
     reconstruct_superbase,
     vonorms,
 )
-from rootforms.lattice import MAX_ITER, NEG_TOL
+from rootforms.lattice import MAX_ITER, NEG_TOL, SIGN_TOL
+
+ULP = 2.0 ** -52
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -111,9 +114,12 @@ def perturbed_superbase(rng, s: Superbase2, delta: float):
     return Superbase2(v0, v1, v2), actual
 
 
-# Reference reduction for the float kernel in rootforms.lattice: the original
-# object-based loop, which builds and validates a Superbase2 (and its Vec2s)
-# at every step. The kernel must reproduce it bit for bit.
+# Reference reduction by the flip rule that rootforms.lattice used before it
+# switched to Lagrange-Gauss: negate one vector of the most negative conorm's
+# pair and rebuild the third, building and validating a Superbase2 at every
+# step. Its step count grows linearly with skew, so bases sheared past about
+# MAX_ITER raise IterationLimitExceeded here; elsewhere its root forms must
+# agree with the exact reduction below as closely as the kernel's do.
 _ORACLE_FLIPS = {
     "p12": lambda v0, v1, v2: (v1 - v2, -v1, v2),
     "p01": lambda v0, v1, v2: (-v0, v1, v0 - v1),
@@ -143,6 +149,76 @@ def oracle_reduce_to_obtuse(
         cur = Superbase2(*_ORACLE_FLIPS[pair](cur.v0, cur.v1, cur.v2))
         steps += 1
     return ObtuseSuperbase(cur.v0, cur.v1, cur.v2, reduction_steps=steps)
+
+
+# Exact reduction for rational inputs. Every float is a rational number, so
+# running Lagrange-Gauss and the final sign flip on Fractions gives an obtuse
+# superbase of exactly the lattice a float basis spans, with no rounding;
+# only the last square roots are rounded, to within one ulp.
+
+
+def _sqrt_fraction(c: Fraction) -> float:
+    """sqrt(c) for a Fraction c >= 0, within one ulp."""
+    if c <= 0:
+        return 0.0
+    n, d = c.numerator, c.denominator
+    k = max(0, (d.bit_length() - n.bit_length() + 130) // 2)
+    return float(Fraction(math.isqrt((n << (2 * k)) // d), 1 << k))
+
+
+def exact_obtuse_superbase(b: Basis2):
+    """Obtuse superbase (v0, v1, v2) of the lattice of b, as Fraction pairs."""
+    def dot(p, q):
+        return p[0] * q[0] + p[1] * q[1]
+
+    u1 = (Fraction(b.v1.x), Fraction(b.v1.y))
+    u2 = (Fraction(b.v2.x), Fraction(b.v2.y))
+    if dot(u1, u1) > dot(u2, u2):
+        u1, u2 = u2, u1
+    while True:
+        t = round(dot(u1, u2) / dot(u1, u1))
+        u2 = (u2[0] - t * u1[0], u2[1] - t * u1[1])
+        if dot(u2, u2) >= dot(u1, u1):
+            break
+        u1, u2 = u2, u1
+    if dot(u1, u2) > 0:
+        u2 = (-u2[0], -u2[1])
+    v0 = (-u1[0] - u2[0], -u1[1] - u2[1])
+    assert -dot(u1, u2) >= 0 and -dot(v0, u1) >= 0 and -dot(v0, u2) >= 0
+    return v0, u1, u2
+
+
+def exact_oriented_roots(b: Basis2) -> tuple[float, float, float]:
+    """Root products of b's lattice, smallest first, then in the cyclic order
+    of a positively oriented obtuse superbase; each within one ulp."""
+    v0, v1, v2 = exact_obtuse_superbase(b)
+    c = [
+        -(v1[0] * v2[0] + v1[1] * v2[1]),
+        -(v0[0] * v1[0] + v0[1] * v1[1]),
+        -(v0[0] * v2[0] + v0[1] * v2[1]),
+    ]
+    if v1[0] * v2[1] - v1[1] * v2[0] < 0:
+        c[1], c[2] = c[2], c[1]
+    k = c.index(min(c))
+    return tuple(_sqrt_fraction(x) for x in c[k:] + c[:k])
+
+
+def exact_sign_outside_band(roots, err: float):
+    """Sign of exact oriented roots, or None when a float error of err in
+    each product could move a neutrality test across the SIGN_TOL band."""
+    a, m, c = sorted(roots)
+    tol = SIGN_TOL * c
+    gaps = (a, m - a, c - m)
+    if any(abs(g - tol) <= 3.0 * err for g in gaps):
+        return None
+    if min(gaps) <= tol:
+        return LatticeSign.NEUTRAL
+    return LatticeSign.POSITIVE if roots[1] < roots[2] else LatticeSign.NEGATIVE
+
+
+def condition_number(b: Basis2) -> float:
+    """kappa = max(|v1|^2, |v2|^2) / |det|: how skewed the basis is."""
+    return max(b.v1.norm_sq(), b.v2.norm_sq()) / abs(b.det)
 
 
 # Reference alignment for rootforms.metrics.superbase_distance_linf: the

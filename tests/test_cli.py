@@ -51,6 +51,24 @@ class TestReduce:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("coords", ["1e200,1e200,1e200,2e200", "1e200,3e199,-2e199,1.1e200"])
+    def test_overflowing_coordinates_fail_cleanly(self, capsys, coords):
+        code, out, err = run(capsys, "reduce", "--basis", coords)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: coordinates overflow")
+
+    def test_shear_past_former_step_cap(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--basis", "1,0,2500.3,1")
+        assert code == 0
+        cells = out.strip().splitlines()[1].split(",")
+        assert cells[12] == "negative"
+        assert int(cells[13]) <= 2
+
+    def test_max_iter_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["reduce", "--basis", "1,0,1,1", "--max-iter", "5"])
+        assert info.value.code == 2
+
 
 class TestRootform:
     def test_unsigned_output(self, tmp_path, capsys):
@@ -110,6 +128,23 @@ class TestRootform:
         code, _, err = run(capsys, "rootform", "-i", str(src))
         assert code == 1
         assert "record 'big' (line 2)" in err
+
+
+    def test_overflowing_coordinates_are_skipped(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text(
+            "ok,cell2,1,1,90\n"
+            "nan_det,basis,1e200,1e200,1e200,2e200\n"
+            "inf_det,basis,1e200,3e199,-2e199,1.1e200\n"
+        )
+        code, out, err = run(capsys, "rootform", "-i", str(src), "--lenient")
+        assert code == 0
+        assert err.splitlines() == [
+            f"warning: skipped record '{rid}' (line {n}): coordinates overflow: "
+            "the determinant or a squared length is not finite"
+            for rid, n in (("nan_det", 2), ("inf_det", 3))
+        ]
+        assert out.splitlines()[1:] == ["ok,0,1,1,neutral"]
 
 
 class TestDist:

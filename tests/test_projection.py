@@ -8,9 +8,11 @@ from helpers import make_rng, random_root_form
 from rootforms import (
     Basis2,
     DegenerateLattice,
+    GridSpec,
     LatticeSign,
     RootForm,
     Vec2,
+    accumulate_grid,
     oriented_root_form,
     reconstruct_superbase,
     root_form,
@@ -88,6 +90,24 @@ class TestQuotientTriangle:
             b = to_quotient_triangle(RootForm(rf.r12 * s, rf.r01 * s, rf.r02 * s))
             assert abs(a.x - b.x) <= 1e-14
             assert abs(a.y - b.y) <= 1e-14
+
+    def test_hexagonal_bases_bin_inside_default_grid(self):
+        # rounding used to leave y = b12 one ulp above 1/3 for some hexagonal
+        # lattices, and the default qt grid then counted them as overflow
+        rng = make_rng(113)
+        points = []
+        for _ in range(2000):
+            a = 10.0 ** rng.uniform(-100.0, 100.0)
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            b = Basis2(
+                Vec2(a, 0.0).rotated(ang),
+                Vec2(-a / 2.0, a * math.sqrt(3.0) / 2.0).rotated(ang),
+            )
+            pt = to_quotient_triangle_oriented(*oriented_root_form(b))
+            points.append((pt.x, pt.y))
+        grid = accumulate_grid(points, GridSpec(0.0, 0.5, 0.0, 1.0 / 3.0, 200))
+        assert grid.overflow_count == 0
+        assert max(y for _, y in points) == 1.0 / 3.0
 
     def test_only_equal_products_reach_max_height(self):
         assert to_quotient_triangle(RootForm(1.0, 1.0, 1.0)).y == pytest.approx(
