@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    apply_unimodular,
     ULP,
+    apply_unimodular,
     condition_number,
     exact_oriented_roots,
     exact_sign_outside_band,
@@ -39,6 +39,7 @@ from rootforms import (
     superbase_from_basis,
 )
 from rootforms.lattice import orient_obtuse
+
 
 def _scaled(b: Basis2, f: float) -> Basis2:
     # plain floats, as the CLI has them: overflow to inf without numpy warnings
@@ -82,22 +83,23 @@ def _near_hexagonal(rng):
     return apply_unimodular(hexa, random_unimodular(rng, shears=3))
 
 
-# name: (generator, bases drawn, least number that must get past entry).
-# At 1e+200 and above the squared lengths overflow and Basis2 rejects every
-# basis; below about 1e-160 the determinant underflows to zero and it
-# rejects every basis as degenerate. Those families reach the reduction only
-# once inputs are normalised before the determinant is taken.
+# name: (generator, bases drawn, least number that must get past entry, the
+# one error class entry may raise). At 1e+200 and above the squared lengths
+# overflow and Basis2 rejects every basis as such; below about 1e-160 the
+# determinant underflows to zero and it rejects every basis as degenerate.
+# Those families reach the reduction only once inputs are normalised before
+# the determinant is taken.
 FAMILIES = {
-    "random": (_random, 400, 400),
-    "sheared": (_sheared, 120, 120),
-    "scale_1e+150": (_scale(150), 60, 60),
-    "scale_1e-150": (_scale(-150), 60, 60),
-    "scale_1e+200": (_scale(200), 60, 0),
-    "scale_1e-200": (_scale(-200), 60, 0),
-    "scale_1e+300": (_scale(300), 60, 0),
-    "scale_1e-300": (_scale(-300), 60, 0),
-    "near_collinear": (_near_collinear, 200, 100),
-    "near_hexagonal": (_near_hexagonal, 200, 200),
+    "random": (_random, 400, 400, None),
+    "sheared": (_sheared, 120, 120, None),
+    "scale_1e+150": (_scale(150), 60, 60, None),
+    "scale_1e-150": (_scale(-150), 60, 60, None),
+    "scale_1e+200": (_scale(200), 60, 0, LatticeError),
+    "scale_1e-200": (_scale(-200), 60, 0, DegenerateBasis),
+    "scale_1e+300": (_scale(300), 60, 0, LatticeError),
+    "scale_1e-300": (_scale(-300), 60, 0, DegenerateBasis),
+    "near_collinear": (_near_collinear, 200, 100, DegenerateBasis),
+    "near_hexagonal": (_near_hexagonal, 200, 200, None),
 }
 
 # Inputs the flip rule could not reduce within MAX_ITER steps.
@@ -121,7 +123,7 @@ def _assert_within_kappa_bound(b: Basis2, orf, sign, exact):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_kernel_matches_object_reduction(family):
-    make, count, least = FAMILIES[family]
+    make, count, least, entry_error = FAMILIES[family]
     rng = make_rng(9100 + sorted(FAMILIES).index(family))
     compared = 0
     for _ in range(count):
@@ -129,9 +131,8 @@ def test_kernel_matches_object_reduction(family):
             b = make(rng)
             s = superbase_from_basis(b)
         except LatticeError as exc:
-            # rejected at entry, before any reduction code runs: a truthful
-            # error, never a non-degenerate lattice called degenerate
-            assert type(exc) in (LatticeError, DegenerateBasis), exc
+            # rejected at entry, before any reduction code runs
+            assert type(exc) is entry_error, exc
             continue
         exact = exact_oriented_roots(b)
         _assert_within_kappa_bound(b, *oriented_root_form(b), exact)
