@@ -16,25 +16,26 @@ import sys
 from .errors import LatticeError, ParseError
 from .lattice import (
     Basis2,
+    LatticeSign,
     Vec2,
     conorms,
     orient_obtuse,
     oriented_root_form,
+    oriented_root_products,
     reduce_to_obtuse,
-    root_form,
     root_form_from_values,
     superbase_from_basis,
 )
 from .metrics import root_metric, root_metric_oriented
-from .projection import to_quotient_triangle_oriented
+from .projection import qt_coords
 from .records import (
     GridSpec,
     LatticeRecord,
     accumulate_grid,
+    basis_coords,
     emit_grid,
     format_number as fmt,
     parse_record_line,
-    project_to_2d,
 )
 from .voronoi import voronoi_domain, voronoi_vectors
 
@@ -81,14 +82,14 @@ def _read_records(path: str, lenient: bool) -> list[LatticeRecord]:
     return out
 
 
-def _process_records(recs, lenient: bool):
-    """Root forms of every record; errors skip with a warning (lenient) or abort."""
+def _process_records(args):
+    """Root forms of the input's records; errors skip with a warning (lenient) or abort."""
     results = []
-    for rec in recs:
+    for rec in _read_records(args.input, args.lenient):
         try:
             results.append(_record_forms(rec))
-        except ValueError as exc:  # LatticeError, or a non-finite intermediate vector
-            if not lenient:
+        except ValueError as exc:  # LatticeError, or a conorm that is not obtuse
+            if not args.lenient:
                 raise LatticeError(f"record {rec.id!r} (line {rec.line}): {exc}") from exc
             print(f"warning: skipped record {rec.id!r} (line {rec.line}): {exc}", file=sys.stderr)
     return results
@@ -105,24 +106,22 @@ def _write_text(path: str | None, text: str) -> None:
 def _cmd_reduce(args) -> int:
     basis = _basis_from_flag(args.basis)
     obt = reduce_to_obtuse(superbase_from_basis(basis))
-    rf = root_form(obt)
-    _, sign = orient_obtuse(obt)
+    orf, sign = orient_obtuse(obt)
     p = [max(v, 0.0) for v in conorms(obt)]
-    cells = [obt.v0.x, obt.v0.y, obt.v1.x, obt.v1.y, obt.v2.x, obt.v2.y, *p, *rf]
+    cells = [obt.v0.x, obt.v0.y, obt.v1.x, obt.v1.y, obt.v2.x, obt.v2.y, *p, *sorted(orf)]
     print("v0x,v0y,v1x,v1y,v2x,v2y,p12,p01,p02,r12,r01,r02,sign,steps")
     print(",".join([*(fmt(c) for c in cells), sign.value, str(obt.reduction_steps)]))
     return 0
 
 
 def _record_forms(rec: LatticeRecord):
-    basis = project_to_2d(rec)
-    orf, sign = oriented_root_form(basis)
+    """(id, oriented root products, sign) of a record, on floats throughout."""
+    _, orf, sign, _ = oriented_root_products(*basis_coords(rec))
     return rec.id, orf, sign
 
 
 def _cmd_rootform(args) -> int:
-    recs = _read_records(args.input, args.lenient)
-    rows = _process_records(recs, args.lenient)
+    rows = _process_records(args)
     lines = ["id,r12,r01,r02,sign"]
     for rec_id, orf, sign in rows:
         triple = tuple(orf) if args.oriented else tuple(sorted(orf))
@@ -140,13 +139,12 @@ def _cmd_dist(args) -> int:
     if args.rf is not None:
         a = _parse_floats(args.rf, 3, "--rf")
         b = _parse_floats(args.rf2, 3, "--rf2")
-        if not args.oriented:
-            a = root_form_from_values(*a)
-            b = root_form_from_values(*b)
+        # no negative entry and at most one zero; the metrics sort or rotate
+        root_form_from_values(*a)
+        root_form_from_values(*b)
     elif args.basis is not None:
-        orf_a, _ = oriented_root_form(_basis_from_flag(args.basis))
-        orf_b, _ = oriented_root_form(_basis_from_flag(args.basis2))
-        a, b = tuple(orf_a), tuple(orf_b)
+        a = oriented_root_form(_basis_from_flag(args.basis))[0]
+        b = oriented_root_form(_basis_from_flag(args.basis2))[0]
     else:
         raise LatticeError("provide --rf/--rf2 or --basis/--basis2")
     d = root_metric_oriented(a, b, q) if args.oriented else root_metric(a, b, q)
@@ -155,13 +153,13 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_qt(args) -> int:
-    recs = _read_records(args.input, args.lenient)
-    rows = _process_records(recs, args.lenient)
+    rows = _process_records(args)
     lines = ["id,x,y"]
     for rec_id, orf, sign in rows:
-        pt = to_quotient_triangle_oriented(orf, sign)
-        x = pt.signed_x if args.signed else pt.x
-        lines.append(",".join([rec_id, fmt(x), fmt(pt.y)]))
+        x, y = qt_coords(*sorted(orf))
+        if args.signed and sign is LatticeSign.NEGATIVE:
+            x = -x
+        lines.append(",".join([rec_id, fmt(x), fmt(y)]))
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -173,15 +171,11 @@ _GRID_DEFAULTS = {
 
 
 def _cmd_grid(args) -> int:
-    recs = _read_records(args.input, args.lenient)
-    rows = _process_records(recs, args.lenient)
+    rows = _process_records(args)
     if args.mode == "rootpair":
         points = [(sorted(orf)[1], sorted(orf)[2]) for _, orf, _ in rows]
     else:
-        points = []
-        for _, orf, sign in rows:
-            pt = to_quotient_triangle_oriented(orf, sign)
-            points.append((pt.x, pt.y))
+        points = [qt_coords(*sorted(orf)) for _, orf, _ in rows]
     dx0, dx1, dy0, dy1 = _GRID_DEFAULTS[args.mode]
     spec = GridSpec(
         args.xmin if args.xmin is not None else dx0,

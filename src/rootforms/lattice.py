@@ -133,11 +133,23 @@ class LatticeSign(Enum):
     NEGATIVE = "negative"
 
 
-def _check_in_range(det: float, norm_sq: float) -> None:
-    """Reject coordinates whose determinant or largest squared length is not finite."""
-    if not (abs(det) < math.inf and norm_sq < math.inf):  # False for NaN too
+def check_basis(x1: float, y1: float, x2: float, y2: float) -> None:
+    """The one entry check, which Basis2, Superbase2 and the float kernel share.
+
+    The determinant and the squared lengths of v1, v2 and v1 + v2 must be
+    finite (LatticeError), and |det| > DEG_TOL * max(|v1|^2, |v2|^2)
+    (DegenerateBasis).
+    """
+    det = x1 * y2 - y1 * x2
+    n = max(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
+    n0 = (x1 + x2) * (x1 + x2) + (y1 + y2) * (y1 + y2)
+    if not (abs(det) < math.inf and n < math.inf and n0 < math.inf):  # False for NaN too
         raise LatticeError(
             "coordinates overflow: the determinant or a squared length is not finite"
+        )
+    if abs(det) <= DEG_TOL * n:
+        raise DegenerateBasis(
+            f"basis determinant {det:g} below tolerance for scale {math.sqrt(n):g}"
         )
 
 
@@ -149,13 +161,7 @@ class Basis2:
     v2: Vec2
 
     def __post_init__(self):
-        det = self.det
-        n = max(self.v1.norm_sq(), self.v2.norm_sq())
-        _check_in_range(det, n)
-        if abs(det) <= DEG_TOL * n:
-            raise DegenerateBasis(
-                f"basis determinant {det:g} below tolerance for scale {math.sqrt(n):g}"
-            )
+        check_basis(self.v1.x, self.v1.y, self.v2.x, self.v2.y)
 
     @property
     def det(self) -> float:
@@ -171,14 +177,10 @@ class Superbase2:
     v2: Vec2
 
     def __post_init__(self):
-        det = self.det
-        n = max(self.v0.norm_sq(), self.v1.norm_sq(), self.v2.norm_sq())
-        _check_in_range(det, n)
+        check_basis(self.v1.x, self.v1.y, self.v2.x, self.v2.y)
         s = self.v0 + self.v1 + self.v2
-        if s.norm() > SUM_TOL * math.sqrt(n):
+        if s.norm() > SUM_TOL * math.sqrt(max(self.v1.norm_sq(), self.v2.norm_sq())):
             raise ValueError(f"superbase vectors sum to ({s.x:g}, {s.y:g}), not zero")
-        if abs(det) <= DEG_TOL * n:
-            raise DegenerateBasis("superbase basis vectors are collinear")
 
     @property
     def det(self) -> float:
@@ -201,14 +203,7 @@ class ObtuseSuperbase(Superbase2):
 
     def __post_init__(self):
         super().__post_init__()
-        c = conorms(self)
-        n = vonorms(self)
-        tol = NEG_TOL * max(n)
-        if min(c) < -tol:
-            raise ValueError(f"superbase is not obtuse: conorms {tuple(c)}")
-        if sorted(c)[1] <= tol:
-            # two vanishing conorms force a vanishing vonorm
-            raise DegenerateLattice(f"two conorms vanish: {tuple(c)}")
+        orient_obtuse(self)  # raises unless obtuse with at most one vanishing conorm
 
 
 def superbase_from_basis(b: Basis2) -> Superbase2:
@@ -286,61 +281,80 @@ def lagrange_gauss(x1: float, y1: float, x2: float, y2: float, max_iter: int = M
         x1, y1, n1, a1, b1, x2, y2, n2, a2, b2 = x2, y2, n2, a2, b2, x1, y1, n1, a1, b1
 
 
+def oriented_root_products(x1: float, y1: float, x2: float, y2: float, max_iter: int = MAX_ITER):
+    """The float kernel: a basis, checked once by check_basis, to its root form.
+
+    The superbase (-(v1 + v2), v1, v2) is kept, with 0 passes, when no
+    conorm is below ``-NEG_TOL * max(vonorms)``. Otherwise (v1, v2) is
+    Lagrange-Gauss reduced to (u1, u2), u2 is negated when u1 . u2 > 0, and
+    the superbase is (-(u1 + u2), u1, u2): with |u1 . u2| <= |u1|^2 / 2 <=
+    |u2|^2 / 2 and u1 . u2 <= 0 all three conorms are nonnegative (the 2D
+    case of Selling reduction).
+
+    Returns ((x0, y0, x1, y1, x2, y2), oriented root products, sign, passes)
+    as plain floats, the sign as in oriented_root_form. Raises
+    IterationLimitExceeded past max_iter passes.
+    """
+    check_basis(x1, y1, x2, y2)
+    x0, y0 = -(x1 + x2), -(y1 + y2)
+    tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
+    passes = 0
+    if x1 * x2 + y1 * y2 > tol or x0 * x1 + y0 * y1 > tol or x0 * x2 + y0 * y2 > tol:
+        (x1, y1, x2, y2), _, passes = lagrange_gauss(x1, y1, x2, y2, max_iter)
+        if x1 * x2 + y1 * y2 > 0.0:
+            x2, y2 = -x2, -y2
+        x0, y0 = -(x1 + x2), -(y1 + y2)
+    w, sign = _obtuse_root_products(x0, y0, x1, y1, x2, y2)
+    return (x0, y0, x1, y1, x2, y2), w, sign, passes
+
+
+def _obtuse_root_products(x0, y0, x1, y1, x2, y2):
+    """Oriented root products and sign of the obtuse superbase (v0, v1, v2).
+
+    With t = NEG_TOL * max(vonorms), a conorm below -t raises ValueError, two
+    at most t raise DegenerateLattice, and the other negatives count as 0.
+    Neutral means the smallest root product, or a gap between two, is at most
+    SIGN_TOL times the largest (a vanishing smallest one is a rectangular
+    cell, whose obtuse superbases are related by reflections).
+    """
+    c = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
+    tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
+    if min(c) < -tol:
+        raise ValueError(f"superbase is not obtuse: conorms {c}")
+    if sorted(c)[1] <= tol:
+        # two vanishing conorms force a vanishing vonorm
+        raise DegenerateLattice(f"two conorms vanish: {c}")
+    w = [math.sqrt(p) if p > 0.0 else 0.0 for p in c]
+    if x1 * y2 - y1 * x2 < 0.0:
+        w[1], w[2] = w[2], w[1]
+    lo, mid, hi = sorted(w)
+    tol = SIGN_TOL * hi
+    if lo <= tol or mid - lo <= tol or hi - mid <= tol:
+        return (lo, mid, hi), LatticeSign.NEUTRAL
+    k = w.index(lo)
+    w = w[k:] + w[:k]
+    return tuple(w), LatticeSign.POSITIVE if w[1] < w[2] else LatticeSign.NEGATIVE
+
+
 def reduce_to_obtuse(s: Superbase2, max_iter: int = MAX_ITER) -> ObtuseSuperbase:
-    """Reduce a superbase of a lattice to an obtuse superbase of the same lattice.
+    """Obtuse superbase of the same lattice, by oriented_root_products on (v1, v2).
 
-    A superbase with no conorm below ``-NEG_TOL * max(vonorms)`` is returned
-    unchanged with zero steps. Otherwise (v1, v2) is Lagrange-Gauss reduced
-    to (u1, u2), u2 is negated when u1 . u2 > 0, and the result is
-    (-(u1 + u2), u1, u2): with |u1 . u2| <= |u1|^2 / 2 <= |u2|^2 / 2 and
-    u1 . u2 <= 0 all three conorms are nonnegative. This is the 2D case of
-    Selling reduction.
-
-    Validation happens at entry (Basis2, superbase_from_basis) and once at
-    exit (ObtuseSuperbase); the steps in between run on plain floats.
-
-    Args:
-        s: any valid superbase.
-        max_iter: cap on the Lagrange-Gauss passes; exceeding it raises
-            IterationLimitExceeded.
-
-    Returns:
-        ObtuseSuperbase spanning the same lattice, with reduction_steps set
-        to the number of passes.
+    A superbase that needs no pass comes back unchanged. Passes beyond
+    max_iter raise IterationLimitExceeded; reduction_steps counts them.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    x0, y0, x1, y1, x2, y2 = s.v0.x, s.v0.y, s.v1.x, s.v1.y, s.v2.x, s.v2.y
-    tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
-    # written so that a NaN product does not count as a negative conorm
-    if not (x1 * x2 + y1 * y2 > tol or x0 * x1 + y0 * y1 > tol or x0 * x2 + y0 * y2 > tol):
-        return ObtuseSuperbase(s.v0, s.v1, s.v2, reduction_steps=0)
-    (x1, y1, x2, y2), _, steps = lagrange_gauss(x1, y1, x2, y2, max_iter)
-    if x1 * x2 + y1 * y2 > 0.0:
-        x2, y2 = -x2, -y2
-    return ObtuseSuperbase(
-        Vec2(-(x1 + x2), -(y1 + y2)), Vec2(x1, y1), Vec2(x2, y2), reduction_steps=steps
+    (x0, y0, x1, y1, x2, y2), _, _, steps = oriented_root_products(
+        s.v1.x, s.v1.y, s.v2.x, s.v2.y, max_iter
     )
-
-
-def _clamped_root_products(s: ObtuseSuperbase) -> tuple[float, float, float]:
-    """Square roots of the conorms with tiny negatives clamped to zero."""
-    c = conorms(s)
-    tol = NEG_TOL * max(vonorms(s))
-    out = []
-    for p in c:
-        if p < -tol:
-            raise ValueError(f"conorm {p:g} negative beyond tolerance")
-        out.append(math.sqrt(p) if p > 0.0 else 0.0)
-    return tuple(out)
+    if steps == 0:
+        return ObtuseSuperbase(s.v0, s.v1, s.v2)
+    return ObtuseSuperbase(Vec2(x0, y0), Vec2(x1, y1), Vec2(x2, y2), reduction_steps=steps)
 
 
 def root_form(s: ObtuseSuperbase) -> RootForm:
     """Ascending root products of an obtuse superbase."""
-    r = sorted(_clamped_root_products(s))
-    if r[1] <= 0.0:
-        raise DegenerateLattice("two root products vanish")
-    return RootForm(*r)
+    return RootForm(*sorted(orient_obtuse(s)[0]))
 
 
 def root_form_from_values(a: float, b: float, c: float) -> RootForm:
@@ -353,17 +367,6 @@ def root_form_from_values(a: float, b: float, c: float) -> RootForm:
     return RootForm(*r)
 
 
-def _is_neutral(r: tuple[float, float, float], tol: float) -> bool:
-    """Achirality test: two root products tie, or the smallest vanishes.
-
-    A vanishing smallest product means one conorm is zero, i.e. a rectangular
-    cell; its obtuse superbases are related by reflections, so the lattice
-    equals its own mirror image just as when two products coincide.
-    """
-    a, b, c = sorted(r)
-    return (a <= tol) or (b - a <= tol) or (c - b <= tol)
-
-
 def oriented_root_form(b: Basis2) -> tuple[OrientedRootForm, LatticeSign]:
     """Cyclic-canonical root products plus the chirality sign of the lattice.
 
@@ -374,22 +377,13 @@ def oriented_root_form(b: Basis2) -> tuple[OrientedRootForm, LatticeSign]:
     is positive when the last two entries ascend, negative when they descend,
     and neutral when the lattice is achiral (then the triple is fully sorted).
     """
-    return orient_obtuse(reduce_to_obtuse(superbase_from_basis(b)))
+    _, w, sign, _ = oriented_root_products(b.v1.x, b.v1.y, b.v2.x, b.v2.y)
+    return OrientedRootForm(*w), sign
 
 
 def orient_obtuse(obt: ObtuseSuperbase) -> tuple[OrientedRootForm, LatticeSign]:
     """:func:`oriented_root_form` of a superbase that is already reduced."""
-    w = list(_clamped_root_products(obt))
-    if obt.det < 0.0:
-        w[1], w[2] = w[2], w[1]
-    if sorted(w)[1] <= 0.0:
-        raise DegenerateLattice("two root products vanish")
-    tol = SIGN_TOL * max(w)
-    if _is_neutral(tuple(w), tol):
-        return OrientedRootForm(*sorted(w)), LatticeSign.NEUTRAL
-    k = w.index(min(w))
-    w = w[k:] + w[:k]
-    sign = LatticeSign.POSITIVE if w[1] < w[2] else LatticeSign.NEGATIVE
+    w, sign = _obtuse_root_products(obt.v0.x, obt.v0.y, obt.v1.x, obt.v1.y, obt.v2.x, obt.v2.y)
     return OrientedRootForm(*w), sign
 
 

@@ -55,21 +55,26 @@ def to_full_triangle(rf: RootForm) -> BarycentricTriple:
     return BarycentricTriple(rf[0] / total, rf[1] / total, rf[2] / total)
 
 
+def qt_coords(r12: float, r01: float, r02: float) -> tuple[float, float]:
+    """Quotient-triangle (x, y) of an ascending root-product triple, on floats."""
+    total = r12 + r01 + r02
+    if total <= 0.0:
+        raise DegenerateLattice("root products sum to zero")
+    # r12 / total is the smallest of three shares summing to 1, so at most
+    # 1/3; rounding can leave it one ulp above, outside the triangle
+    return 0.5 * (r02 / total - r01 / total), min(r12 / total, 1.0 / 3.0)
+
+
 def to_quotient_triangle(rf: RootForm) -> QTPoint:
     """Quotient-triangle point of a sorted root form."""
-    b12, b01, b02 = to_full_triangle(rf)
-    x = 0.5 * (b02 - b01)
-    # b12 is the smallest of three shares summing to 1, so at most 1/3;
-    # rounding can leave it one ulp above, outside the triangle
-    return QTPoint(x, min(b12, 1.0 / 3.0), x)
+    x, y = qt_coords(*rf)
+    return QTPoint(x, y, x)
 
 
 def to_quotient_triangle_oriented(orf: OrientedRootForm, sign: LatticeSign) -> QTPoint:
     """Quotient-triangle point with signed_x = -x for negative lattices."""
-    base = to_quotient_triangle(RootForm(*sorted(orf)))
-    if sign is LatticeSign.NEGATIVE:
-        return QTPoint(base.x, base.y, -base.x)
-    return base
+    x, y = qt_coords(*sorted(orf))
+    return QTPoint(x, y, -x if sign is LatticeSign.NEGATIVE else x)
 
 
 def reconstruct_superbase(

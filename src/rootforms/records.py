@@ -115,14 +115,14 @@ def _cos_sin_deg(angle: float) -> tuple[float, float]:
     return math.cos(rad), math.sin(rad)
 
 
-def project_to_2d(rec: LatticeRecord) -> Basis2:
-    """2D basis of a record, applying the kind's projection rule."""
+def basis_coords(rec: LatticeRecord) -> tuple[float, float, float, float]:
+    """Unchecked (x1, y1, x2, y2) of a record's 2D basis, by the kind's rule."""
     p = rec.params
     if rec.kind == "basis":
-        return Basis2(Vec2(p[0], p[1]), Vec2(p[2], p[3]))
+        return p
     if rec.kind == "ortho3":
         keep = sorted(p)[:2]
-        return Basis2(Vec2(keep[0], 0.0), Vec2(0.0, keep[1]))
+        return keep[0], 0.0, 0.0, keep[1]
     if rec.kind == "cell2":
         a, b, gamma = p
     else:  # mono3: drop the unique axis length, keep (a, c, beta)
@@ -130,7 +130,13 @@ def project_to_2d(rec: LatticeRecord) -> Basis2:
     if min(gamma, 180.0 - gamma) < ANGLE_TOL_DEG:
         raise DegenerateBasis(f"cell angle {gamma:g} degrees is degenerate")
     cos_g, sin_g = _cos_sin_deg(gamma)
-    return Basis2(Vec2(a, 0.0), Vec2(b * cos_g, b * sin_g))
+    return a, 0.0, b * cos_g, b * sin_g
+
+
+def project_to_2d(rec: LatticeRecord) -> Basis2:
+    """2D basis of a record, applying the kind's projection rule."""
+    x1, y1, x2, y2 = basis_coords(rec)
+    return Basis2(Vec2(x1, y1), Vec2(x2, y2))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,24 @@
 """Command-line interface, exercised through main() and real files."""
 
+import importlib.util
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from rootforms import (
+    LatticeError,
+    oriented_root_form,
+    parse_records,
+    project_to_2d,
+    to_quotient_triangle_oriented,
+)
 from rootforms.cli import main
+from rootforms.records import format_number
 
 SQ6, SQ7 = math.sqrt(6), math.sqrt(7)
 
@@ -146,6 +156,15 @@ class TestRootform:
         ]
         assert out.splitlines()[1:] == ["ok,0,1,1,neutral"]
 
+    def test_basis_past_the_former_second_degeneracy_scale(self, tmp_path, capsys):
+        # the square lattice (det -1, kappa about 8e11); entry accepted it, and
+        # a second degeneracy test scaled by |v1 + v2| then rejected it
+        src = tmp_path / "in.csv"
+        src.write_text("sq,basis,848285,418337,49753,24536\n")
+        code, out, err = run(capsys, "rootform", "-i", str(src), "--lenient")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["sq,0,1,1,neutral"]
+
 
 class TestDist:
     def test_rootform_inputs(self, capsys):
@@ -192,6 +211,29 @@ class TestDist:
     def test_bad_q(self, capsys):
         code, _, err = run(capsys, "dist", "--q", "0.3", "--rf", "0,1,1", "--rf2", "0,1,2")
         assert code == 1
+
+    @pytest.mark.parametrize("rf, rf2, message", [
+        ("-1,2,3", "0,0,5", "negative root product"),
+        ("1,2,3", "0,0,5", "two root products vanish"),
+        ("1,2,3", "2,-0.5,1", "negative root product"),
+        ("0,1,0", "1,2,3", "two root products vanish"),
+    ])
+    def test_invalid_triples_rejected_with_and_without_orientation(
+        self, capsys, rf, rf2, message
+    ):
+        for flags in ((), ("--oriented",)):
+            code, out, err = run(capsys, "dist", "--q", "2", f"--rf={rf}", f"--rf2={rf2}", *flags)
+            assert (code, out) == (1, ""), flags
+            assert message in err
+
+    def test_oriented_triples_keep_their_cyclic_order(self, capsys):
+        # validation must not sort: (1, 3, 2) and (1, 2, 3) are mirror images,
+        # sqrt(2) apart in RM_2+ and 0 apart in RM_2
+        argv = ("dist", "--q", "2", "--rf", "1,3,2", "--rf2", "1,2,3")
+        code, out, _ = run(capsys, *argv, "--oriented")
+        assert code == 0
+        assert float(out) == pytest.approx(math.sqrt(2), rel=1e-11)
+        assert run(capsys, *argv)[1] == "0\n"
 
 
 class TestQt:
@@ -340,3 +382,84 @@ class TestStartup:
                             forms.stdout, forms.stderr))
         assert all(out == outputs[0] for out in outputs)
         assert b"skipped record 'bad'" in outputs[0][4]
+
+
+def _mixed_record_file(path, seed=20261018, n=240):
+    """Seeded records of all four kinds, at several scales, plus bad ones."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(n):
+        kind = ("basis", "cell2", "ortho3", "mono3")[i % 4]
+        f = 10.0 ** rng.choice((0, 0, 0, -80, 80))
+        if kind == "basis":
+            params = [f * rng.uniform(-5.0, 5.0) for _ in range(4)]
+        elif kind == "cell2":
+            params = [f * rng.uniform(0.5, 5.0), f * rng.uniform(0.5, 5.0),
+                      rng.uniform(20.0, 160.0)]
+        elif kind == "ortho3":
+            params = [f * rng.uniform(0.5, 5.0) for _ in range(3)]
+        else:
+            params = [f * rng.uniform(0.5, 5.0) for _ in range(3)] + [rng.uniform(20.0, 160.0)]
+        lines.append(",".join([f"r{i}", kind, *map(repr, params)]))
+    lines += ["sq,cell2,2,2,90", "hexa,cell2,1,1,120", "collinear,basis,1,0,2,0",
+              "flat,cell2,1,1,1e-12", "big,basis,1e200,1e200,1e200,2e200"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestApiAgreement:
+    def test_rows_equal_the_object_api(self, tmp_path, capsys):
+        # the CLI runs on floats from record to row; the object wrappers must
+        # give the same bytes, and skip the same records
+        src, qt_out = tmp_path / "in.csv", tmp_path / "qt.csv"
+        _mixed_record_file(src)
+        code, forms, _ = run(capsys, "rootform", "-i", str(src), "--oriented", "--lenient")
+        assert code == 0
+        code, _, _ = run(capsys, "qt", "-i", str(src), "-o", str(qt_out), "--signed", "--lenient")
+        assert code == 0
+        want_forms, want_qt = ["id,r12,r01,r02,sign"], ["id,x,y"]
+        for rec in parse_records(src.read_text()):
+            try:
+                orf, sign = oriented_root_form(project_to_2d(rec))
+            except LatticeError:
+                continue
+            pt = to_quotient_triangle_oriented(orf, sign)
+            want_forms.append(",".join([rec.id, *map(format_number, orf), sign.value]))
+            want_qt.append(",".join([rec.id, format_number(pt.signed_x), format_number(pt.y)]))
+        assert len(want_forms) >= 240
+        assert forms.splitlines() == want_forms
+        assert qt_out.read_text().splitlines() == want_qt
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTrace:
+    def test_traced_run_writes_the_same_bytes_and_counts_the_failure(self, tmp_path, capsys):
+        # perfbench --trace 1 runs main() in process with the cli names it
+        # knows wrapped, and is correct only if the bytes and skips match
+        from rootforms import cli
+
+        src = tmp_path / "in.csv"
+        src.write_text("good,basis,3,0,-1,3\nbad,basis,1,0,2,0\n")
+        tracing = _load_tracing()
+        runs = []
+        for tracer in (None, tracing.Tracer()):
+            out = tmp_path / f"forms{len(runs)}.csv"
+            argv = ["rootform", "-i", str(src), "-o", str(out), "--oriented", "--lenient"]
+            if tracer is None:
+                code, stdout, stderr = run(capsys, *argv)
+            else:
+                with tracer.cli():
+                    code, stdout, stderr = run(capsys, *argv)
+            runs.append((code, stdout, stderr, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][3].decode().splitlines()[1].startswith("good,")
+        assert "skipped record 'bad' (line 2)" in runs[0][2]
+        assert sum(tracer.failed().values()) == 1
+        assert any(span[0] == "cli.record_forms" for span in tracer.spans)
+        assert cli._record_forms.__name__ == "_record_forms"  # unwrapped again

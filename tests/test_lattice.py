@@ -39,7 +39,7 @@ from rootforms import (
     vonorms,
     vonorms_from_conorms,
 )
-from rootforms.lattice import lagrange_gauss
+from rootforms.lattice import lagrange_gauss, oriented_root_products
 
 SQ3, SQ6, SQ7 = math.sqrt(3), math.sqrt(6), math.sqrt(7)
 
@@ -325,6 +325,42 @@ class TestOrientedRootForm:
                 (orf.first, orf.third, orf.second), rel=1e-9, abs=1e-9 * max(orf)
             )
             checked += 1
+
+    def test_basis_past_the_former_second_degeneracy_scale(self):
+        # det -1: the square lattice, with kappa about 8e11. Basis2 accepted
+        # it, and Superbase2 then rejected it as collinear, because it also
+        # scaled its degeneracy test by |v0| = |v1 + v2|
+        b = basis(848285, 418337, 49753, 24536)
+        assert b.det == -1
+        assert oriented_root_form(b) == ((0, 1, 1), LatticeSign.NEUTRAL)
+        assert sorted(conorms(reduce_to_obtuse(superbase_from_basis(b)))) == [0, 1, 1]
+
+    def test_one_entry_check_for_basis_superbase_and_kernel(self):
+        # Basis2, superbase_from_basis and the float kernel accept and reject
+        # the same bases, with the same error class, around the DEG_TOL
+        # threshold and at the scales where squared lengths overflow
+        rng = make_rng(67)
+        outcomes = set()
+        for _ in range(400):
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            t, eps = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-13.0, -10.0)
+            f = 10.0 ** float(rng.choice([0.0, 150.0, 153.9, 154.1, 160.0]))
+            c, s = math.cos(ang), math.sin(ang)
+            coords = (f * c, f * s, f * (t * c - eps * s), f * (t * s + eps * c))
+            seen = []
+            for build in (
+                lambda: basis(*coords),
+                lambda: superbase_from_basis(basis(*coords)),
+                lambda: oriented_root_products(*coords),
+            ):
+                try:
+                    build()
+                    seen.append(None)
+                except LatticeError as exc:
+                    seen.append(type(exc))
+            assert len(set(seen)) == 1, (coords, seen)
+            outcomes.add(seen[0])
+        assert outcomes == {None, DegenerateBasis, LatticeError}
 
 
 class TestSquaredNorm:

@@ -14,9 +14,16 @@ obtuse unchanged (its tiny negative conorm clamped to 0), which moves every
 conorm by up to 2 a^2. ``test_reduction_kernel`` holds the seeded families,
 whose products stay clear of both effects, to the tighter bound on the
 products themselves.
+
+The second half checks the invariants on drawn root-product triples:
+``reconstruct_superbase`` round-trips through ``oriented_root_form`` with
+its sign, ``root_metric`` and ``root_metric_oriented`` satisfy the metric
+axioms, and a quotient-triangle point is its root form divided by the
+entry sum. Every tolerance is a few ulps of the triple's own scale.
 """
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, seed, settings
@@ -34,10 +41,16 @@ from rootforms import (
     Basis2,
     DegenerateBasis,
     LatticeSign,
+    RootForm,
     Vec2,
     oriented_root_form,
+    reconstruct_superbase,
     reduce_to_obtuse,
+    root_metric,
+    root_metric_oriented,
     superbase_from_basis,
+    to_quotient_triangle,
+    to_quotient_triangle_oriented,
 )
 from rootforms.lattice import NEG_TOL, conorms, vonorms
 
@@ -135,3 +148,82 @@ def test_reduction_returns_obtuse_superbase_of_same_lattice(pair):
     assume(tol < 0.1)
     assert np.abs(m - np.rint(m)).max() <= tol
     assert abs(round(np.linalg.det(np.rint(m)))) == 1
+
+
+share = st.floats(min_value=0.0, max_value=1.0)
+triples = st.tuples(share, share, share)
+exponent = st.integers(min_value=-100, max_value=100)
+chiral = st.sampled_from([LatticeSign.POSITIVE, LatticeSign.NEGATIVE])
+
+
+def _scaled_triple(parts, e):
+    return tuple(sorted(p * 10.0 ** e for p in parts))
+
+
+@seed(20261018)
+@PINNED
+@given(triples, exponent, chiral)
+def test_reconstruction_round_trips_with_its_sign(parts, e, sign):
+    lo, mid, hi = _scaled_triple(parts, e)
+    # two root products must stay clear of the degenerate-lattice tolerance,
+    # and the squares of all clear of underflow
+    assume(hi >= 1e-150 and mid >= 1e-3 * hi)
+    sb = reconstruct_superbase(RootForm(lo, mid, hi), sign)
+    orf, got_sign = oriented_root_form(Basis2(sb.v1, sb.v2))
+    want = (lo, mid, hi) if sign is LatticeSign.POSITIVE else (lo, hi, mid)
+    slack = 16.0 * ULP * hi * hi  # on squared products, i.e. conorms
+    for got, w in zip(sorted(orf), (lo, mid, hi)):
+        assert abs(got * got - w * w) <= slack
+    exact_sign = exact_sign_outside_band(want, _root_error(want, slack))
+    if exact_sign is not None:
+        assert got_sign is exact_sign
+        if exact_sign is not LatticeSign.NEUTRAL:
+            assert got_sign is sign
+            for got, w in zip(orf, want):
+                assert abs(got * got - w * w) <= slack
+
+
+orders = st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf])
+
+
+@seed(20261018)
+@PINNED
+@given(triples, triples, triples, exponent, orders)
+def test_root_metrics_satisfy_the_metric_axioms(a, b, c, e, q):
+    f = 10.0 ** e
+    a, b, c = ([p * f for p in t] for t in (a, b, c))
+    tol = 16.0 * ULP * max(*a, *b, *c)
+    for dist in (root_metric, root_metric_oriented):
+        assert dist(a, a, q) == 0.0
+        assert dist(a, b, q) == dist(b, a, q) >= 0.0
+        assert dist(a, c, q) <= dist(a, b, q) + dist(b, c, q) + tol
+        # a cyclic rotation of one argument is the same oriented lattice
+        assert dist(b[1:] + b[:1], a, q) == dist(b, a, q)
+    # relabelling any two entries is the mirror image, which RM_q ignores
+    assert root_metric([a[1], a[0], a[2]], b, q) == root_metric(a, b, q)
+    assert root_metric(a, b, q) <= root_metric_oriented(a, b, q) + tol
+
+
+@seed(20261018)
+@PINNED
+@given(triples, exponent, st.floats(0.5, 2.0), st.integers(-60, 60),
+       st.sampled_from(list(LatticeSign)))
+def test_quotient_triangle_is_the_root_form_up_to_scale(parts, e, factor, k, sign):
+    rf = RootForm(*_scaled_triple(parts, e))
+    assume(rf.r01 >= 1e-290)  # clear of subnormals, which any scaling rounds
+    pt = to_quotient_triangle(rf)
+    total = sum(rf)
+    back = (pt.y, 0.5 * (1.0 - pt.y - 2.0 * pt.x), 0.5 * (1.0 - pt.y + 2.0 * pt.x))
+    for got, want in zip(back, rf):
+        assert abs(got - want / total) <= 8.0 * ULP
+    # scaling by a power of two is exact while no entry or share is
+    # subnormal; any other scale moves the point a few ulps
+    scaled = [math.ldexp(r, k) for r in rf]
+    if all(r == 0.0 or min(r, r2, r / total) >= sys.float_info.min for r, r2 in zip(rf, scaled)):
+        assert to_quotient_triangle(RootForm(*scaled)) == pt
+    other = to_quotient_triangle(RootForm(*(r * factor for r in rf)))
+    assert abs(other.x - pt.x) <= 8.0 * ULP and abs(other.y - pt.y) <= 8.0 * ULP
+    oriented = rf if sign is not LatticeSign.NEGATIVE else (rf.r12, rf.r02, rf.r01)
+    signed = to_quotient_triangle_oriented(oriented, sign)
+    assert (signed.x, signed.y) == (pt.x, pt.y)
+    assert signed.signed_x == (-pt.x if sign is LatticeSign.NEGATIVE else pt.x)
