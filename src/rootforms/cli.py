@@ -1,10 +1,14 @@
 """Command-line interface.
 
-Subcommands: reduce, rootform, dist, qt, grid, voronoi. File-processing
-commands handle the records in input order in one thread. The
-LATTICE_THREADS environment variable is accepted for compatibility and
-ignored, so output bytes are the same whatever it says. All numbers print
-with 12 significant digits.
+Subcommands: reduce, rootform, dist, qt, grid, voronoi. rootform, qt and grid
+stream their input in one thread: each line is parsed and reduced, then
+formatted or binned, before the next is read, so grid's memory is O(res^2)
+whatever the record count. The first bad line aborts the run, or with
+--lenient is skipped with a warning, so warnings come out in line order. grid
+checks its options before it reads the input; rootform and qt write their
+output at the end, so an aborted run leaves no partial file. LATTICE_THREADS
+is accepted for compatibility and ignored. Numbers print with 12 significant
+digits.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import argparse
 import math
 import sys
 
-from .errors import LatticeError, ParseError
+from .errors import LatticeError
 from .lattice import (
     Basis2,
     LatticeSign,
@@ -65,34 +69,28 @@ def _parse_q(text: str) -> float:
         raise LatticeError(f"--q must be a number >= 1 or 'inf', got {text!r}") from None
 
 
-def _read_records(path: str, lenient: bool) -> list[LatticeRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    out: list[LatticeRecord] = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        try:
-            rec = parse_record_line(line, i)
-        except ParseError as exc:
-            if not lenient:
-                raise
-            print(f"warning: skipped {exc}", file=sys.stderr)
-            continue
-        if rec is not None:
-            out.append(rec)
-    return out
-
-
 def _process_records(args):
-    """Root forms of the input's records; errors skip with a warning (lenient) or abort."""
-    results = []
-    for rec in _read_records(args.input, args.lenient):
-        try:
-            results.append(_record_forms(rec))
-        except ValueError as exc:  # LatticeError, or a conorm that is not obtuse
-            if not args.lenient:
-                raise LatticeError(f"record {rec.id!r} (line {rec.line}): {exc}") from exc
-            print(f"warning: skipped record {rec.id!r} (line {rec.line}): {exc}", file=sys.stderr)
-    return results
+    """Yield (id, oriented root products, sign) per record, reading line by line.
+
+    A bad line is skipped with a warning (lenient) or aborts the run.
+    """
+    with open(args.input, "r", encoding="utf-8") as fh:
+        # splitting each chunk again keeps str.splitlines line numbering
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for i, line in enumerate(lines, start=1):
+            rec = None
+            try:
+                rec = parse_record_line(line, i)
+                if rec is None:  # blank or comment line
+                    continue
+                row = _record_forms(rec)
+            except ValueError as exc:  # a ParseError, a LatticeError, or a conorm not obtuse
+                msg = str(exc) if rec is None else f"record {rec.id!r} (line {rec.line}): {exc}"
+                if not args.lenient:
+                    raise LatticeError(msg) from exc
+                print(f"warning: skipped {msg}", file=sys.stderr)
+                continue
+            yield row
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -121,9 +119,8 @@ def _record_forms(rec: LatticeRecord):
 
 
 def _cmd_rootform(args) -> int:
-    rows = _process_records(args)
     lines = ["id,r12,r01,r02,sign"]
-    for rec_id, orf, sign in rows:
+    for rec_id, orf, sign in _process_records(args):
         triple = tuple(orf) if args.oriented else tuple(sorted(orf))
         lines.append(",".join([rec_id, *(fmt(v) for v in triple), sign.value]))
     _write_text(args.output, "\n".join(lines) + "\n")
@@ -153,9 +150,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_qt(args) -> int:
-    rows = _process_records(args)
     lines = ["id,x,y"]
-    for rec_id, orf, sign in rows:
+    for rec_id, orf, sign in _process_records(args):
         x, y = qt_coords(*sorted(orf))
         if args.signed and sign is LatticeSign.NEGATIVE:
             x = -x
@@ -171,11 +167,6 @@ _GRID_DEFAULTS = {
 
 
 def _cmd_grid(args) -> int:
-    rows = _process_records(args)
-    if args.mode == "rootpair":
-        points = [(sorted(orf)[1], sorted(orf)[2]) for _, orf, _ in rows]
-    else:
-        points = [qt_coords(*sorted(orf)) for _, orf, _ in rows]
     dx0, dx1, dy0, dy1 = _GRID_DEFAULTS[args.mode]
     spec = GridSpec(
         args.xmin if args.xmin is not None else dx0,
@@ -184,6 +175,11 @@ def _cmd_grid(args) -> int:
         args.ymax if args.ymax is not None else dy1,
         args.res,
     )
+    rows = _process_records(args)
+    if args.mode == "rootpair":
+        points = (sorted(orf)[1:] for _, orf, _ in rows)
+    else:
+        points = (qt_coords(*sorted(orf)) for _, orf, _ in rows)
     grid = accumulate_grid(points, spec)
     with open(args.output, "wb") as fh:
         fh.write(emit_grid(grid, "csv"))
@@ -273,7 +269,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # LatticeError and friends
+    except (OSError, ValueError) as exc:  # unreadable or unwritable files, LatticeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

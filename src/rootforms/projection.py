@@ -91,7 +91,7 @@ def reconstruct_superbase(
     len2 = math.hypot(r12, r02)
     if len1 <= 0.0 or len2 <= 0.0:
         raise DegenerateLattice(f"root form {tuple(rf)} has a vanishing basis vector")
-    cos_a = -(r12 * r12) / (len1 * len2)
+    cos_a = -(r12 / len1) * (r12 / len2)  # len1 * len2 underflows below about 1e-154
     cos_a = max(-1.0, min(1.0, cos_a))
     sin_a = math.sqrt(1.0 - cos_a * cos_a)
     if sign is LatticeSign.NEGATIVE:

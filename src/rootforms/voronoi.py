@@ -26,6 +26,7 @@ from .lattice import Basis2, Superbase2, Vec2, conorms, lagrange_gauss, vonorms,
 TIE_TOL = 1e-9
 # Vertices of the clipped polygon merge below this scale-relative distance.
 VERTEX_TOL = 1e-9
+SEARCH_RADIUS_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -52,20 +53,18 @@ class VoronoiDomainPolygon:
         return 0.5 * total
 
 
-def voronoi_vectors(b: Basis2, search_radius_factor: float = 4.0) -> list[VoronoiVector]:
+def voronoi_vectors(b: Basis2) -> list[VoronoiVector]:
     """All shortest members of the three nonzero classes modulo 2*lattice.
 
-    Enumerates every lattice vector up to ``search_radius_factor`` times the
+    Enumerates every lattice vector up to SEARCH_RADIUS_FACTOR times the
     longer reduced basis vector, buckets nonzero vectors by coefficient
     parity, and keeps each bucket's shortest members (ties within TIE_TOL
     relative). A bucket whose shortest members are exactly one +- pair is
     strict.
     """
-    if search_radius_factor < 2.0:
-        raise ValueError("search_radius_factor must be >= 2")
     (x1, y1, x2, y2), (m1, m2), _ = lagrange_gauss(b.v1.x, b.v1.y, b.v2.x, b.v2.y)
     u1, u2 = Vec2(x1, y1), Vec2(x2, y2)
-    radius = search_radius_factor * max(u1.norm(), u2.norm())
+    radius = SEARCH_RADIUS_FACTOR * max(u1.norm(), u2.norm())
     det = abs(u1.cross(u2))
     amax = int(math.floor(radius * u2.norm() / det)) + 1
     bmax = int(math.floor(radius * u1.norm() / det)) + 1

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -384,6 +385,109 @@ class TestStartup:
         assert b"skipped record 'bad'" in outputs[0][4]
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize("case", ["missing-input", "missing-output-dir"])
+    def test_reported_as_one_error_line(self, tmp_path, case):
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS)
+        if case == "missing-input":
+            argv = ["rootform", "-i", str(tmp_path / "missing.csv")]
+        else:
+            argv = ["grid", "-i", str(src), "-o", str(tmp_path / "missing" / "g.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootforms", *argv], env=_child_env(), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "No such file or directory" in proc.stderr
+
+
+# a record error on line 2 before a parse error on line 3, and the reverse
+RECORD_THEN_PARSE = "ok,cell2,1,1,90\ncollinear,basis,1,0,2,0\nbad,cell2,1,1,999\n"
+PARSE_THEN_RECORD = "ok,cell2,1,1,90\nbad,cell2,1,1,999\ncollinear,basis,1,0,2,0\n"
+
+
+def _file_command(command, src, dst):
+    return {
+        "rootform": ["rootform", "-i", str(src), "-o", str(dst)],
+        "qt": ["qt", "-i", str(src), "-o", str(dst)],
+        "grid": ["grid", "-i", str(src), "-o", str(dst), "--pgm", f"{dst}.pgm", "--res", "8"],
+    }[command]
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("command", ["rootform", "qt", "grid"])
+    def test_lenient_warnings_come_in_line_order(self, tmp_path, capsys, command):
+        src = tmp_path / "in.csv"
+        src.write_text(RECORD_THEN_PARSE)
+        code, _, err = run(capsys, *_file_command(command, src, tmp_path / "out"), "--lenient")
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("warning: skipped record 'collinear' (line 2): ")
+        assert lines[1].startswith("warning: skipped line 3: angle 999")
+
+    @pytest.mark.parametrize("command", ["rootform", "qt", "grid"])
+    @pytest.mark.parametrize("text, first", [
+        (RECORD_THEN_PARSE, "error: record 'collinear' (line 2): "),
+        (PARSE_THEN_RECORD, "error: line 2: angle 999"),
+    ], ids=["record-error-first", "parse-error-first"])
+    def test_strict_mode_stops_at_the_first_bad_line_and_writes_no_file(
+        self, tmp_path, capsys, command, text, first
+    ):
+        src = tmp_path / "in.csv"
+        src.write_text(text)
+        code, out, err = run(capsys, *_file_command(command, src, tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.startswith(first) and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [src]
+
+    def test_line_numbers_follow_str_splitlines(self, tmp_path, capsys):
+        # iterating the file splits only at newlines; str.splitlines, whose
+        # numbering the messages use, also splits at these
+        seps = ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\n", "\r", "\n"]
+        src = tmp_path / "in.csv"
+        with open(src, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(f"r{i},k{i}{sep}" for i, sep in enumerate(seps)))
+        code, _, err = run(capsys, "rootform", "-i", str(src), "--lenient")
+        assert code == 0
+        assert err.splitlines() == [
+            f"warning: skipped line {i + 1}: unknown kind 'k{i}'" for i in range(len(seps))
+        ]
+
+    def test_grid_options_are_checked_before_the_input_is_read(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text(RECORD_THEN_PARSE)
+        code, _, err = run(capsys, *_file_command("grid", src, tmp_path / "out"), "--res", "0")
+        assert code == 1
+        assert err == "error: resolution must be a positive integer, got 0\n"
+
+    def test_grid_peak_memory_does_not_grow_with_the_record_count(self, tmp_path, capsys):
+        # each record is binned as it is read, so only the res^2 counts stay
+        base = tmp_path / "base.csv"
+        _mixed_record_file(base)
+        good = base.read_text().splitlines()[:-5]  # drop the bad records
+        argvs = []
+        for n in (200, 2000, 20000):
+            src = tmp_path / f"in{n}.csv"
+            src.write_text("".join(f"t{i}{good[i % len(good)]}\n" for i in range(n)))
+            argvs.append(["grid", "-i", str(src), "-o", str(tmp_path / "g.csv"), "--mode", "qt",
+                          "--res", "16"])
+        assert main(argvs[0]) == 0  # warm-up
+        peaks = []
+        for argv in argvs[1:]:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr() == ("", "")
+        assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
+
+
 def _mixed_record_file(path, seed=20261018, n=240):
     """Seeded records of all four kinds, at several scales, plus bad ones."""
     rng = random.Random(seed)
@@ -439,7 +543,10 @@ def _load_tracing():
 
 
 class TestBenchmarkTrace:
-    def test_traced_run_writes_the_same_bytes_and_counts_the_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["rootform", "grid"])
+    def test_traced_run_writes_the_same_bytes_and_counts_the_failure(
+        self, tmp_path, capsys, command
+    ):
         # perfbench --trace 1 runs main() in process with the cli names it
         # knows wrapped, and is correct only if the bytes and skips match
         from rootforms import cli
@@ -449,16 +556,26 @@ class TestBenchmarkTrace:
         tracing = _load_tracing()
         runs = []
         for tracer in (None, tracing.Tracer()):
-            out = tmp_path / f"forms{len(runs)}.csv"
-            argv = ["rootform", "-i", str(src), "-o", str(out), "--oriented", "--lenient"]
+            out = tmp_path / f"out{len(runs)}"
+            argv = {
+                "rootform": ["rootform", "-i", str(src), "-o", str(out), "--oriented"],
+                "grid": ["grid", "-i", str(src), "-o", str(out), "--pgm", f"{out}.pgm",
+                         "--mode", "qt"],
+            }[command] + ["--lenient"]
             if tracer is None:
                 code, stdout, stderr = run(capsys, *argv)
             else:
                 with tracer.cli():
                     code, stdout, stderr = run(capsys, *argv)
-            runs.append((code, stdout, stderr, out.read_bytes()))
+            files = [p.read_bytes() for p in sorted(tmp_path.glob(f"{out.name}*"))]
+            runs.append((code, stdout, stderr, files))
         assert runs[0] == runs[1]
-        assert runs[0][3].decode().splitlines()[1].startswith("good,")
+        rows = runs[0][3][0].decode().splitlines()[1:]
+        if command == "rootform":
+            assert rows[0].startswith("good,")
+        else:
+            assert len(runs[0][3]) == 2  # CSV and PGM
+            assert sum(int(c) for row in rows for c in row.split(",")) == 1
         assert "skipped record 'bad' (line 2)" in runs[0][2]
         assert sum(tracer.failed().values()) == 1
         assert any(span[0] == "cli.record_forms" for span in tracer.spans)

@@ -4,12 +4,14 @@ import math
 
 import pytest
 
-from helpers import make_rng, random_root_form
+from helpers import ULP, make_rng, random_root_form
 from rootforms import (
     Basis2,
     DegenerateLattice,
     GridSpec,
+    LatticeError,
     LatticeSign,
+    ObtuseSuperbase,
     RootForm,
     Vec2,
     accumulate_grid,
@@ -167,3 +169,27 @@ class TestReconstruction:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateLattice):
             reconstruct_superbase(RootForm(0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("shape", [
+        (0.0, 4.0, 4.0), (0.6, 1.0, 1.4), (1.0, 1.0, 1.0), (0.01, 1.0, 1.005),
+        (math.sqrt(3), math.sqrt(6), math.sqrt(7)),
+    ])
+    def test_tiny_scales_round_trip_or_raise_a_lattice_error(self, shape):
+        # below about 1e-154, |v1| |v2| underflowed to 0 in the angle's cosine
+        # and a ZeroDivisionError escaped every handler of the package's errors
+        for e in range(150, 301):
+            rf = RootForm(*(r * 10.0 ** -e for r in shape))
+            try:
+                sb = reconstruct_superbase(rf)
+            except LatticeError:
+                continue
+            # scaling by 2^k is exact and brings the squared products back
+            # into range, so the round-trip bound applies as at unit scale
+            k = -math.frexp(max(rf))[1]
+            unit = ObtuseSuperbase(
+                *(Vec2(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in (sb.v0, sb.v1, sb.v2))
+            )
+            want = [math.ldexp(r, k) for r in rf]
+            slack = 16.0 * ULP * max(want) ** 2
+            for got, w in zip(root_form(unit), want):
+                assert abs(got * got - w * w) <= slack, (e, shape)

@@ -53,10 +53,6 @@ class TestVoronoiVectors:
                 )
                 assert (rebuilt - v.vector).norm() <= 1e-9 * max(1.0, v.vector.norm())
 
-    def test_radius_factor_validated(self):
-        with pytest.raises(ValueError):
-            voronoi_vectors(SQUARE, search_radius_factor=1.5)
-
 
 class TestVoronoiDomain:
     def test_square_cell(self):
