@@ -2,13 +2,13 @@
 
 Subcommands: reduce, rootform, dist, qt, grid, voronoi. rootform, qt and grid
 stream their input in one thread: each line is parsed and reduced, then
-formatted or binned, before the next is read, so grid's memory is O(res^2)
-whatever the record count. The first bad line aborts the run, or with
---lenient is skipped with a warning, so warnings come out in line order. grid
-checks its options before it reads the input; rootform and qt write their
-output at the end, so an aborted run leaves no partial file. LATTICE_THREADS
-is accepted for compatibility and ignored. Numbers print with 12 significant
-digits.
+formatted or binned, before the next is read, so grid's memory is O(occupied
+pixels), at most O(res^2), whatever the record count. The first bad line
+aborts the run, or with --lenient is skipped with a warning, so warnings come
+out in line order. grid checks its options before it reads the input;
+rootform and qt write their output at the end, so an aborted run leaves no
+partial file. LATTICE_THREADS is accepted for compatibility and ignored.
+Numbers print with 12 significant digits.
 """
 
 from __future__ import annotations

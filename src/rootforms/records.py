@@ -15,7 +15,9 @@ with ``#`` starting a comment and blank lines ignored. Kinds:
 
 Density grids bin (x, y) points into resolution x resolution pixels with the
 floor rule; points exactly on the upper bound land in the last pixel, points
-outside the bounds only bump ``overflow_count``.
+outside the bounds (or NaN) only bump ``overflow_count``. A grid keeps only
+its occupied pixels, by raster index ``(res - 1 - iy) * res + ix``, so
+``sum(counts.values()) + overflow_count`` is the number of points ingested.
 """
 
 from __future__ import annotations
@@ -155,26 +157,30 @@ class GridSpec:
             raise InvalidGridSpec("grid bounds must be finite")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise InvalidGridSpec("grid bounds must satisfy max > min on both axes")
-        if int(self.resolution) != self.resolution or self.resolution < 1:
-            raise InvalidGridSpec(f"resolution must be a positive integer, got {self.resolution}")
+        res = self.resolution  # an integer type has __index__; a bool is not a resolution
+        if isinstance(res, bool) or not hasattr(res, "__index__") or res < 1:
+            raise InvalidGridSpec(f"resolution must be a positive integer, got {res}")
+        object.__setattr__(self, "resolution", int(res))  # numpy integers do not wrap in int
 
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Pixel counts over a GridSpec; counts[ix][iy] with ix along x.
+    """Pixel counts over a GridSpec, occupied pixels only.
 
-    sum(counts) + overflow_count equals the number of ingested points.
+    counts maps a pixel's index in the emitted raster, (res - 1 - iy) * res
+    + ix with ix along x, to its count, so raster row 0 is the largest y bin.
+    sum(counts.values()) + overflow_count equals the number of ingested points.
     """
 
     spec: GridSpec
-    counts: list[list[int]]
+    counts: dict[int, int]
     overflow_count: int
 
 
 def accumulate_grid(points, spec: GridSpec) -> DensityGrid:
     """Bin (x, y) pairs into a DensityGrid with the clamped floor rule."""
     res = spec.resolution
-    counts = [[0] * res for _ in range(res)]
+    counts: dict[int, int] = {}
     overflow = 0
     x_span = spec.x_max - spec.x_min
     y_span = spec.y_max - spec.y_min
@@ -184,7 +190,8 @@ def accumulate_grid(points, spec: GridSpec) -> DensityGrid:
             continue
         ix = min(int(math.floor((x - spec.x_min) / x_span * res)), res - 1)
         iy = min(int(math.floor((y - spec.y_min) / y_span * res)), res - 1)
-        counts[ix][iy] += 1
+        k = (res - 1 - iy) * res + ix
+        counts[k] = counts.get(k, 0) + 1
     return DensityGrid(spec, counts, overflow)
 
 
@@ -210,37 +217,30 @@ def emit_grid(grid: DensityGrid, fmt: str) -> bytes:
     raise ValueError(f"unknown grid format {fmt!r}")
 
 
-def _rows_top_down(grid: DensityGrid) -> list[tuple[int, ...]]:
-    """The counts as image rows: row 0 is the largest y bin."""
-    return list(zip(*grid.counts))[::-1]
-
-
 def _emit_csv(grid: DensityGrid) -> bytes:
     s = grid.spec
-    lines = [
-        ",".join(
-            [format_number(s.x_min), format_number(s.x_max),
-             format_number(s.y_min), format_number(s.y_max), str(s.resolution)]
-        )
-    ]
-    rows = _rows_top_down(grid)
+    res = s.resolution
+    zero = ["0"] * res
+    rows = [zero] * res  # all rows share one list until a pixel of theirs is set
     # k distinct nonzero counts need k(k+1)/2 points, so this table stays small
-    text = {c: str(c) for c in set().union(*rows)}
-    lines.extend(",".join(map(text.__getitem__, row)) for row in rows)
-    return ("\n".join(lines) + "\n").encode("ascii")
+    text = {c: str(c) for c in set(grid.counts.values())}
+    for k, c in grid.counts.items():
+        r, ix = divmod(k, res)
+        if rows[r] is zero:
+            rows[r] = zero.copy()
+        rows[r][ix] = text[c]
+    header = [format_number(v) for v in (s.x_min, s.x_max, s.y_min, s.y_max)] + [str(res)]
+    return "\n".join([",".join(header), *map(",".join, rows), ""]).encode("ascii")
 
 
 def _emit_pgm(grid: DensityGrid) -> bytes:
     res = grid.spec.resolution
-    max_count = max(map(max, grid.counts), default=0)
+    max_count = max(grid.counts.values(), default=0)
     maxval = min(65535, max(max_count, 1))
-    header = f"P5\n{res} {res}\n{maxval}\n".encode("ascii")
-    rows = _rows_top_down(grid)
-    if max_count > maxval:  # round() takes ties to even
-        rows = [[round(c * (maxval / max_count)) for c in row] for row in rows]
-    if maxval <= 255:
-        return header + b"".join(map(bytes, rows))
-    image = array("H", (c for row in rows for c in row))
-    if sys.byteorder == "little":
+    scale = maxval / max_count if max_count > maxval else 1  # round() takes ties to even
+    image = bytearray(res * res) if maxval <= 255 else array("H", bytes(2 * res * res))
+    for k, c in grid.counts.items():
+        image[k] = round(c * scale)
+    if maxval > 255 and sys.byteorder == "little":
         image.byteswap()  # PGM stores 16-bit samples big-endian
-    return header + image.tobytes()
+    return f"P5\n{res} {res}\n{maxval}\n".encode("ascii") + bytes(image)

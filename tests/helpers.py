@@ -6,6 +6,8 @@ Everything takes an explicit numpy Generator so each test pins its own seed.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from rootforms import (
     vonorms,
 )
 from rootforms.lattice import MAX_ITER, NEG_TOL, SIGN_TOL
+from rootforms.records import GridSpec, format_number
 
 ULP = 2.0 ** -52
 
@@ -303,3 +306,45 @@ def oracle_superbase_distance_linf(
         if local < best:
             best = local
     return math.sqrt(max(best, 0.0))
+
+
+# The dense density grid that records.accumulate_grid and records.emit_grid
+# kept before grids stored occupied pixels only: a res x res list of lists,
+# counts[ix][iy], transposed into image rows for each emitter. The sparse grid
+# must emit exactly these bytes.
+
+
+def oracle_grid_bytes(points, spec: GridSpec) -> tuple[bytes, bytes, int]:
+    """(CSV bytes, PGM bytes, overflow count) of the points on a dense grid."""
+    res = spec.resolution
+    counts = [[0] * res for _ in range(res)]
+    overflow = 0
+    x_span = spec.x_max - spec.x_min
+    y_span = spec.y_max - spec.y_min
+    for x, y in points:
+        if not (spec.x_min <= x <= spec.x_max and spec.y_min <= y <= spec.y_max):
+            overflow += 1
+            continue
+        ix = min(int(math.floor((x - spec.x_min) / x_span * res)), res - 1)
+        iy = min(int(math.floor((y - spec.y_min) / y_span * res)), res - 1)
+        counts[ix][iy] += 1
+    rows = list(zip(*counts))[::-1]  # row 0 is the largest y bin
+
+    header = [format_number(v) for v in (spec.x_min, spec.x_max, spec.y_min, spec.y_max)]
+    lines = [",".join(header + [str(res)])]
+    lines.extend(",".join(str(c) for c in row) for row in rows)
+    csv = ("\n".join(lines) + "\n").encode("ascii")
+
+    max_count = max(map(max, counts), default=0)
+    maxval = min(65535, max(max_count, 1))
+    if max_count > maxval:  # round() takes ties to even
+        rows = [[round(c * (maxval / max_count)) for c in row] for row in rows]
+    pgm = f"P5\n{res} {res}\n{maxval}\n".encode("ascii")
+    if maxval <= 255:
+        pgm += b"".join(map(bytes, rows))
+    else:
+        image = array("H", (c for row in rows for c in row))
+        if sys.byteorder == "little":
+            image.byteswap()  # PGM stores 16-bit samples big-endian
+        pgm += image.tobytes()
+    return csv, pgm, overflow

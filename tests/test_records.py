@@ -1,6 +1,7 @@
 """Record parsing, 3D-to-2D projections, density grids and emitters."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from rootforms import (
     to_quotient_triangle,
 )
 from rootforms.records import LatticeRecord, format_number
+
+from helpers import oracle_grid_bytes
 
 
 class TestParsing:
@@ -100,28 +103,28 @@ class TestProjection:
 class TestGrid:
     def test_centre_point_of_2x2(self):
         grid = accumulate_grid([(0.5, 0.5)], GridSpec(0, 1, 0, 1, 2))
-        assert grid.counts == [[0, 0], [0, 1]]
+        assert grid.counts == {1: 1}  # ix 1, iy 1: raster row 0, column 1
         assert grid.overflow_count == 0
 
     def test_empty_points(self):
         grid = accumulate_grid([], GridSpec(0, 1, 0, 1, 3))
-        assert sum(map(sum, grid.counts)) == 0
+        assert sum(grid.counts.values()) == 0
         assert grid.overflow_count == 0
 
     def test_overflow(self):
         grid = accumulate_grid([(30.0, 10.0)], GridSpec(0, 25, 0, 25, 200))
-        assert sum(map(sum, grid.counts)) == 0
+        assert sum(grid.counts.values()) == 0
         assert grid.overflow_count == 1
 
     def test_upper_bound_lands_in_last_pixel(self):
         grid = accumulate_grid([(1.0, 1.0)], GridSpec(0, 1, 0, 1, 4))
-        assert grid.counts[3][3] == 1
+        assert grid.counts == {3: 1}  # ix 3, iy 3: raster row 0, column 3
 
     def test_conservation_random(self):
         rng = np.random.default_rng(131)
         pts = rng.uniform(-0.2, 1.2, size=(500, 2))
         grid = accumulate_grid([tuple(p) for p in pts], GridSpec(0, 1, 0, 1, 7))
-        assert sum(map(sum, grid.counts)) + grid.overflow_count == 500
+        assert sum(grid.counts.values()) + grid.overflow_count == 500
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -130,6 +133,8 @@ class TestGrid:
             dict(x_min=0, x_max=1, y_min=2, y_max=1, resolution=2),
             dict(x_min=0, x_max=1, y_min=0, y_max=1, resolution=0),
             dict(x_min=0, x_max=math.inf, y_min=0, y_max=1, resolution=2),
+            dict(x_min=0, x_max=1, y_min=0, y_max=1, resolution=2.0),
+            dict(x_min=0, x_max=1, y_min=0, y_max=1, resolution=True),
         ],
     )
     def test_invalid_specs(self, kwargs):
@@ -139,38 +144,36 @@ class TestGrid:
 
 class TestEmit:
     def test_pgm_single_pixel(self):
-        grid = DensityGrid(GridSpec(0, 1, 0, 1, 1), np.array([[7]], dtype=np.int64), 0)
+        grid = DensityGrid(GridSpec(0, 1, 0, 1, 1), {0: 7}, 0)
         assert emit_grid(grid, "pgm") == b"P5\n1 1\n7\n\x07"
 
     def test_pgm_matches_max_count(self):
-        counts = np.array([[75, 0], [3, 12]], dtype=np.int64)
+        counts = {2: 75, 3: 3, 1: 12}  # raster index (1 - iy) * 2 + ix
         data = emit_grid(DensityGrid(GridSpec(0, 1, 0, 1, 2), counts, 0), "pgm")
         assert data.startswith(b"P5\n2 2\n75\n")
-        # top row = largest y bin: (counts[0,1], counts[1,1]) then y bin 0
+        # top row = largest y bin: (ix 0, iy 1), (ix 1, iy 1), then y bin 0
         assert data.endswith(bytes([0, 12, 75, 3]))
 
     def test_pgm_sixteen_bit(self):
-        counts = np.array([[300]], dtype=np.int64)
+        counts = {0: 300}
         data = emit_grid(DensityGrid(GridSpec(0, 1, 0, 1, 1), counts, 0), "pgm")
         assert data == b"P5\n1 1\n300\n" + (300).to_bytes(2, "big")
 
     def test_pgm_scaled_sixteen_bit(self):
         # counts above 65535 scale to maxval 65535; 100000 -> 32767.5 rounds to even
-        grid = DensityGrid(GridSpec(0, 1, 0, 1, 2), [[200000, 0], [1, 100000]], 0)
+        grid = DensityGrid(GridSpec(0, 1, 0, 1, 2), {2: 200000, 3: 1, 1: 100000}, 0)
         assert emit_grid(grid, "pgm") == b"P5\n2 2\n65535\n\x00\x00\x80\x00\xff\xff\x00\x00"
 
     def test_pgm_empty_grid_is_valid(self):
-        counts = np.zeros((2, 2), dtype=np.int64)
-        data = emit_grid(DensityGrid(GridSpec(0, 1, 0, 1, 2), counts, 0), "pgm")
+        data = emit_grid(DensityGrid(GridSpec(0, 1, 0, 1, 2), {}, 0), "pgm")
         assert data.startswith(b"P5\n2 2\n1\n")
 
     def test_csv_zero_grid(self):
-        counts = np.zeros((2, 2), dtype=np.int64)
-        data = emit_grid(DensityGrid(GridSpec(0, 1, 0, 1, 2), counts, 0), "csv")
+        data = emit_grid(DensityGrid(GridSpec(0, 1, 0, 1, 2), {}, 0), "csv")
         assert data == b"0,1,0,1,2\n0,0\n0,0\n"
 
     def test_csv_row_orientation(self):
-        counts = np.array([[1, 2], [3, 4]], dtype=np.int64)  # counts[ix, iy]
+        counts = {2: 1, 0: 2, 3: 3, 1: 4}  # (ix, iy) = (0, 0), (0, 1), (1, 0), (1, 1)
         data = emit_grid(DensityGrid(GridSpec(0, 1, 0, 1, 2), counts, 0), "csv")
         assert data == b"0,1,0,1,2\n2,4\n1,3\n"
 
@@ -183,3 +186,64 @@ class TestEmit:
         assert format_number(1 / 3) == "0.333333333333"
         assert format_number(-0.0) == "0"
         assert format_number(25.0) == "25"
+
+
+class TestEmitMatchesDenseOracle:
+    """The occupied-pixel grid emits the bytes of the dense list-of-lists grid."""
+
+    @staticmethod
+    def check(points, spec):
+        grid = accumulate_grid(points, spec)
+        csv, pgm, overflow = oracle_grid_bytes(points, spec)
+        assert grid.overflow_count == overflow
+        assert sum(grid.counts.values()) + overflow == len(points)
+        assert emit_grid(grid, "csv") == csv
+        assert emit_grid(grid, "pgm") == pgm
+
+    @pytest.mark.parametrize("res", [
+        1, 2, 7, 50,
+        pytest.param(np.int64(7), id="np.int64-7"),
+        pytest.param(np.uint8(40), id="np.uint8-40"),  # 40 * 40 wraps in uint8
+    ])
+    @pytest.mark.parametrize("seed", [5, 808])
+    def test_random_points(self, res, seed):
+        rng = np.random.default_rng(seed)
+        spec = GridSpec(-0.25, 2.0, 0.0, 1.0 / 3.0, res)
+        n = int(rng.integers(0, 3 * int(res) ** 2 + 40))
+        wide = rng.uniform((-0.5, -0.1), (2.25, 0.45), size=(n, 2))
+        cluster = rng.normal((1.5, 0.3), (0.02, 0.01), size=(n, 2))  # high counts, upper edges
+        edges = [(2.0, 1.0 / 3.0), (-0.25, 0.0), (2.0, 0.0), (-0.25, 1.0 / 3.0)]
+        non_finite = [(math.nan, 0.1), (0.5, math.nan), (math.inf, 0.1), (0.5, -math.inf)]
+        points = wide.tolist() + cluster.tolist() + edges + non_finite
+        rng.shuffle(points)
+        self.check(points, spec)
+
+    @pytest.mark.parametrize("res", [1, 2, 7, 50])
+    def test_empty_grids(self, res):
+        self.check([], GridSpec(0.0, 1.0, 0.0, 1.0, res))
+        self.check([(2.0, 0.5), (math.nan, math.nan), (-math.inf, math.inf)],
+                   GridSpec(0.0, 1.0, 0.0, 1.0, res))
+
+    @pytest.mark.parametrize("peak", [255, 256, 300, 65535, 65536, 70001, 131070])
+    def test_pgm_depths(self, peak):
+        # 8-bit up to a peak of 255, 16-bit up to 65535, scaled above it; at a
+        # peak of 131070 the scale is exactly 1/2, so the counts 1, 3 and 5
+        # are .5 ties that round to even: 0, 2 and 2
+        points = [(0.3, 0.9)] * peak + [(0.5, 0.1)] + [(0.9, 0.5)] * 3 + [(0.1, 0.1)] * 5
+        self.check(points + [(1.0, 1.0)] * 2, GridSpec(0.0, 1.0, 0.0, 1.0, 7))
+
+    def test_bin_storage_grows_with_occupied_pixels_not_res_squared(self):
+        rng = np.random.default_rng(2000)
+        points = rng.uniform(0.0, 1.0, size=(50, 2)).tolist()
+        spec = GridSpec(0.0, 1.0, 0.0, 1.0, 2000)
+        tracemalloc.start()
+        try:
+            grid = accumulate_grid(points, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak  # a dense 2000 x 2000 grid of lists is about 32 MB
+        csv, pgm, overflow = oracle_grid_bytes(points, spec)
+        assert grid.overflow_count == overflow
+        assert emit_grid(grid, "csv") == csv
+        assert emit_grid(grid, "pgm") == pgm
