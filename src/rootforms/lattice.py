@@ -13,12 +13,16 @@ Conventions
 
 Tolerances are relative to the natural scale of the input (max vonorm or max
 root product); there are no absolute thresholds anywhere.
+
+The value types are immutable named tuples, so they also unpack, index and
+compare equal to plain tuples of the same values. Vec2, Basis2, Superbase2
+and ObtuseSuperbase check their arguments when constructed (the named-tuple
+helpers _make and _replace do not); Vec2 arithmetic is not re-checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -45,25 +49,28 @@ SUM_TOL = 1e-9
 MAX_ITER = 1000
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """Plane vector with finite coordinates (lengths in Angstroms)."""
+class Vec2(NamedTuple("Vec2", [("x", float), ("y", float)])):
+    """Plane vector (lengths in Angstroms), finite when a caller builds it.
 
-    x: float
-    y: float
+    Only the constructor checks the coordinates: sums, differences,
+    negations and rotations are built without a second check.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite vector ({self.x}, {self.y})")
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite vector ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
 
     def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
+        return tuple.__new__(Vec2, (self.x + other.x, self.y + other.y))
 
     def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
+        return tuple.__new__(Vec2, (self.x - other.x, self.y - other.y))
 
     def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
+        return tuple.__new__(Vec2, (-self.x, -self.y))
 
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
@@ -80,7 +87,7 @@ class Vec2:
 
     def rotated(self, angle: float) -> "Vec2":
         c, s = math.cos(angle), math.sin(angle)
-        return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
+        return tuple.__new__(Vec2, (c * self.x - s * self.y, s * self.x + c * self.y))
 
 
 class ConormTriple(NamedTuple):
@@ -153,34 +160,35 @@ def check_basis(x1: float, y1: float, x2: float, y2: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Basis2:
+class Basis2(NamedTuple("Basis2", [("v1", Vec2), ("v2", Vec2)])):
     """Two independent plane vectors generating a lattice."""
 
-    v1: Vec2
-    v2: Vec2
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_basis(self.v1.x, self.v1.y, self.v2.x, self.v2.y)
+    def __new__(cls, v1: Vec2, v2: Vec2):
+        check_basis(v1.x, v1.y, v2.x, v2.y)
+        return tuple.__new__(cls, (v1, v2))
 
     @property
     def det(self) -> float:
         return self.v1.cross(self.v2)
 
 
-@dataclass(frozen=True)
-class Superbase2:
+def _check_superbase(v0: Vec2, v1: Vec2, v2: Vec2) -> None:
+    check_basis(v1.x, v1.y, v2.x, v2.y)
+    sx, sy = v0.x + v1.x + v2.x, v0.y + v1.y + v2.y
+    if math.hypot(sx, sy) > SUM_TOL * math.sqrt(max(v1.norm_sq(), v2.norm_sq())):
+        raise ValueError(f"superbase vectors sum to ({sx:g}, {sy:g}), not zero")
+
+
+class Superbase2(NamedTuple("Superbase2", [("v0", Vec2), ("v1", Vec2), ("v2", Vec2)])):
     """Ordered vector triple (v0, v1, v2) summing to zero."""
 
-    v0: Vec2
-    v1: Vec2
-    v2: Vec2
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_basis(self.v1.x, self.v1.y, self.v2.x, self.v2.y)
-        s = self.v0 + self.v1 + self.v2
-        if s.norm() > SUM_TOL * math.sqrt(max(self.v1.norm_sq(), self.v2.norm_sq())):
-            raise ValueError(f"superbase vectors sum to ({s.x:g}, {s.y:g}), not zero")
+    def __new__(cls, v0: Vec2, v1: Vec2, v2: Vec2):
+        _check_superbase(v0, v1, v2)
+        return tuple.__new__(cls, (v0, v1, v2))
 
     @property
     def det(self) -> float:
@@ -191,19 +199,22 @@ class Superbase2:
         return (self.v0, self.v1, self.v2)
 
 
-@dataclass(frozen=True)
-class ObtuseSuperbase(Superbase2):
+class ObtuseSuperbase(NamedTuple("ObtuseSuperbase", [("v0", Vec2), ("v1", Vec2), ("v2", Vec2),
+                                                     ("reduction_steps", int)]), Superbase2):
     """Superbase with all conorms >= 0 (up to tolerance).
 
     reduction_steps counts the Lagrange-Gauss passes that produced it; zero
-    for a superbase that was already obtuse and came back unchanged.
+    for a superbase that was already obtuse and came back unchanged. It is
+    the fourth field, so an ObtuseSuperbase unpacks to four values.
     """
 
-    reduction_steps: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __new__(cls, v0: Vec2, v1: Vec2, v2: Vec2, reduction_steps: int = 0):
+        _check_superbase(v0, v1, v2)
+        self = tuple.__new__(cls, (v0, v1, v2, reduction_steps))
         orient_obtuse(self)  # raises unless obtuse with at most one vanishing conorm
+        return self
 
 
 def superbase_from_basis(b: Basis2) -> Superbase2:

@@ -8,12 +8,14 @@ triangle parameterised by x = (b02 - b01) / 2 in [0, 1/2] and y = b12 in
 The inverse map rebuilds the canonical obtuse superbase: v1 on the positive
 x axis, v2 at the obtuse angle arccos(-r12^2 / (|v1| |v2|)), counterclockwise
 for positive (or neutral) lattices and clockwise for negative ones.
+
+QTPoint, like the triples, is an immutable named tuple that checks
+signed_x = +-x when constructed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateLattice
@@ -34,17 +36,15 @@ class BarycentricTriple(NamedTuple):
     b02: float
 
 
-@dataclass(frozen=True)
-class QTPoint:
+class QTPoint(NamedTuple("QTPoint", [("x", float), ("y", float), ("signed_x", float)])):
     """Quotient-triangle coordinates; signed_x is negative for mirror images."""
 
-    x: float
-    y: float
-    signed_x: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.signed_x) != self.x:
+    def __new__(cls, x: float, y: float, signed_x: float):
+        if abs(signed_x) != x:
             raise ValueError("signed_x must be +-x")
+        return tuple.__new__(cls, (x, y, signed_x))
 
 
 def to_full_triangle(rf: RootForm) -> BarycentricTriple:

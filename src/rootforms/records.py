@@ -18,6 +18,10 @@ floor rule; points exactly on the upper bound land in the last pixel, points
 outside the bounds (or NaN) only bump ``overflow_count``. A grid keeps only
 its occupied pixels, by raster index ``(res - 1 - iy) * res + ix``, so
 ``sum(counts.values()) + overflow_count`` is the number of points ingested.
+
+LatticeRecord, GridSpec and DensityGrid are immutable named tuples, so they
+also unpack, index and compare equal to plain tuples; GridSpec checks its
+bounds and resolution when constructed.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateBasis, InvalidGridSpec, ParseError
 from .lattice import Basis2, Vec2
@@ -36,8 +40,7 @@ KINDS = {"basis": 4, "cell2": 3, "ortho3": 3, "mono3": 4}
 ANGLE_TOL_DEG = 1e-9
 
 
-@dataclass(frozen=True)
-class LatticeRecord:
+class LatticeRecord(NamedTuple):
     """One parsed input line; ``line`` is kept for error reporting."""
 
     id: str
@@ -141,30 +144,25 @@ def project_to_2d(rec: LatticeRecord) -> Basis2:
     return Basis2(Vec2(x1, y1), Vec2(x2, y2))
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple("GridSpec", [("x_min", float), ("x_max", float), ("y_min", float),
+                                       ("y_max", float), ("resolution", int)])):
     """Bounds and resolution of a density grid."""
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    resolution: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = (self.x_min, self.x_max, self.y_min, self.y_max)
-        if not all(math.isfinite(v) for v in vals):
+    def __new__(cls, x_min: float, x_max: float, y_min: float, y_max: float, resolution: int):
+        if not all(math.isfinite(v) for v in (x_min, x_max, y_min, y_max)):
             raise InvalidGridSpec("grid bounds must be finite")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+        if x_max <= x_min or y_max <= y_min:
             raise InvalidGridSpec("grid bounds must satisfy max > min on both axes")
-        res = self.resolution  # an integer type has __index__; a bool is not a resolution
-        if isinstance(res, bool) or not hasattr(res, "__index__") or res < 1:
-            raise InvalidGridSpec(f"resolution must be a positive integer, got {res}")
-        object.__setattr__(self, "resolution", int(res))  # numpy integers do not wrap in int
+        # an integer type has __index__; a bool is not a resolution
+        if isinstance(resolution, bool) or not hasattr(resolution, "__index__") or resolution < 1:
+            raise InvalidGridSpec(f"resolution must be a positive integer, got {resolution}")
+        # stored as int, so a numpy integer cannot wrap in fixed-width arithmetic
+        return tuple.__new__(cls, (x_min, x_max, y_min, y_max, int(resolution)))
 
 
-@dataclass(frozen=True)
-class DensityGrid:
+class DensityGrid(NamedTuple):
     """Pixel counts over a GridSpec, occupied pixels only.
 
     counts maps a pixel's index in the emitted raster, (res - 1 - iy) * res

@@ -12,13 +12,14 @@ whatever basis of the lattice that is, so reducing only keeps the enumeration
 small. ``verify_partial_sums`` therefore judges a superbase against a
 brute-force enumeration, not against a second reduction, which lets it serve
 as an oracle for the reduction. Reported integer coefficients always refer
-to the original basis.
+to the original basis. VoronoiVector and VoronoiDomainPolygon are immutable
+named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import Basis2, Superbase2, Vec2, conorms, lagrange_gauss, vonorms, NEG_TOL
 
@@ -29,8 +30,7 @@ VERTEX_TOL = 1e-9
 SEARCH_RADIUS_FACTOR = 4.0
 
 
-@dataclass(frozen=True)
-class VoronoiVector:
+class VoronoiVector(NamedTuple):
     """Shortest lattice vector of one nonzero class modulo 2*lattice."""
 
     coeffs: tuple[int, int]
@@ -38,8 +38,7 @@ class VoronoiVector:
     strict: bool
 
 
-@dataclass(frozen=True)
-class VoronoiDomainPolygon:
+class VoronoiDomainPolygon(NamedTuple):
     """Convex, centrally symmetric cell around the origin, vertices CCW."""
 
     vertices: tuple[Vec2, ...]

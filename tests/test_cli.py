@@ -343,6 +343,22 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # the value types are named tuples, so importing the package and its
+        # CLI pulls in none of these; a module that the bare interpreter's
+        # site hooks load already is not the package's
+        heavy = ("dataclasses", "inspect", "ast", "dis")
+        probe = "import sys{}; print(' '.join(m for m in {!r} if m in sys.modules))"
+        loaded = []
+        for imports in ("", ", rootforms, rootforms.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe.format(imports, heavy)], env=_child_env(),
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            loaded.append(set(proc.stdout.split()))
+        assert loaded[1] <= loaded[0], loaded[1] - loaded[0]
+
     def test_grid_leaves_numpy_unloaded(self, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text(RECORDS)

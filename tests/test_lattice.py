@@ -1,6 +1,7 @@
 """Core lattice machinery: superbases, reduction, conorms, root forms, signs."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,6 +96,27 @@ class TestSuperbaseFromBasis:
         x1, y1, x2, y2 = coords
         with pytest.raises(LatticeError, match="^coordinates overflow"):
             Superbase2(Vec2(-x1 - x2, -y1 - y2), Vec2(x1, y1), Vec2(x2, y2))
+
+
+    def test_overflowing_sum_rejected(self):
+        # v1 + v2 overflows; Vec2 arithmetic no longer checks its result, so
+        # the entry check has to refuse the basis, and a superbase built from
+        # an unchecked pair of the same vectors
+        v1, v2 = Vec2(1.5e308, 0.0), Vec2(1.5e308, 1e300)
+        assert math.isinf((v1 + v2).x)
+        with pytest.raises(LatticeError, match="^coordinates overflow") as info:
+            Basis2(v1, v2)
+        assert type(info.value) is LatticeError
+        with pytest.raises(LatticeError, match="^coordinates overflow") as info:
+            superbase_from_basis(SimpleNamespace(v1=v1, v2=v2))
+        assert type(info.value) is LatticeError
+
+    def test_arithmetic_keeps_the_vector_type(self):
+        u, w = Vec2(1.0, 2.0), Vec2(0.5, -1.0)
+        for r in (u + w, u - w, -u, u.rotated(math.pi / 2)):
+            assert type(r) is Vec2
+        assert (u + w, u - w, -u) == (Vec2(1.5, 1.0), Vec2(0.5, 3.0), Vec2(-1.0, -2.0))
+        assert u.rotated(math.pi / 2) == pytest.approx((-2.0, 1.0))
 
 
 class TestConormsVonorms:

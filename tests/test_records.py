@@ -178,7 +178,7 @@ class TestEmit:
         assert data == b"0,1,0,1,2\n2,4\n1,3\n"
 
     def test_unknown_format(self):
-        grid = DensityGrid(GridSpec(0, 1, 0, 1, 1), np.zeros((1, 1), dtype=np.int64), 0)
+        grid = DensityGrid(GridSpec(0, 1, 0, 1, 1), {}, 0)
         with pytest.raises(ValueError):
             emit_grid(grid, "svg")
 

@@ -126,6 +126,34 @@ class TestDefaultsAndFields:
         )
 
 
+class TestTupleSemantics:
+    """The value types are named tuples: they unpack, index and equal plain tuples."""
+
+    def test_unpack_index_and_compare(self):
+        x, y = Vec2(1.0, 2.0)
+        assert (x, y) == (1.0, 2.0) and Vec2(1.0, 2.0)[1] == 2.0
+        assert Vec2(1.0, 2.0) == (1.0, 2.0)
+        assert Basis2(V1, V2) == (V1, V2)
+        assert Superbase2(V0, V1, V2) == (V0, V1, V2)
+        v0, v1, v2, steps = ObtuseSuperbase(V0, V1, V2, 3)
+        assert (v0, v1, v2, steps) == (V0, V1, V2, 3)
+        assert QTPoint(0.25, 0.1, -0.25) == (0.25, 0.1, -0.25)
+        assert LatticeRecord("a", "cell2", (1.0, 1.0, 90.0)) == ("a", "cell2", (1.0, 1.0, 90.0), 0)
+        assert tuple(GridSpec(0, 1, 0, 1, 2)) == (0, 1, 0, 1, 2)
+        assert DensityGrid(SPEC, {}, 0) == (SPEC, {}, 0)
+        assert VoronoiVector((1, 0), V1, True)[0] == (1, 0)
+        assert len(VoronoiDomainPolygon((V1, V2))) == 1
+
+    def test_fields(self):
+        assert Superbase2._fields == ("v0", "v1", "v2")
+        assert ObtuseSuperbase._fields == ("v0", "v1", "v2", "reduction_steps")
+        assert LatticeRecord._field_defaults == {"line": 0}
+
+    def test_a_superbase_is_not_an_obtuse_one(self):
+        # an ObtuseSuperbase carries its step count, so it never equals a Superbase2
+        assert Superbase2(V0, V1, V2) != ObtuseSuperbase(V0, V1, V2)
+
+
 def _raises_exactly(cls, message, fn, *args, **kwargs):
     with pytest.raises(cls, match=f"^{re.escape(message)}$") as info:
         fn(*args, **kwargs)
