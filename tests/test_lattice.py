@@ -99,9 +99,9 @@ class TestSuperbaseFromBasis:
 
 
     def test_overflowing_sum_rejected(self):
-        # v1 + v2 overflows; Vec2 arithmetic no longer checks its result, so
-        # the entry check has to refuse the basis, and a superbase built from
-        # an unchecked pair of the same vectors
+        # v1 + v2 overflows and Vec2 arithmetic does not check its result, so
+        # the entry check refuses the basis, and a superbase built from an
+        # unchecked pair of the same vectors
         v1, v2 = Vec2(1.5e308, 0.0), Vec2(1.5e308, 1e300)
         assert math.isinf((v1 + v2).x)
         with pytest.raises(LatticeError, match="^coordinates overflow") as info:
