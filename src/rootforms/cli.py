@@ -167,14 +167,9 @@ _GRID_DEFAULTS = {
 
 
 def _cmd_grid(args) -> int:
-    dx0, dx1, dy0, dy1 = _GRID_DEFAULTS[args.mode]
-    spec = GridSpec(
-        args.xmin if args.xmin is not None else dx0,
-        args.xmax if args.xmax is not None else dx1,
-        args.ymin if args.ymin is not None else dy0,
-        args.ymax if args.ymax is not None else dy1,
-        args.res,
-    )
+    given = (args.xmin, args.xmax, args.ymin, args.ymax)
+    bounds = (d if v is None else v for v, d in zip(given, _GRID_DEFAULTS[args.mode]))
+    spec = GridSpec(*bounds, args.res)
     rows = _process_records(args)
     if args.mode == "rootpair":
         points = (sorted(orf)[1:] for _, orf, _ in rows)
@@ -195,16 +190,9 @@ def _cmd_voronoi(args) -> int:
     poly = voronoi_domain(basis)
     lines = ["c1,c2,x,y,strict"]
     for v in vvs:
-        lines.append(
-            ",".join(
-                [str(v.coeffs[0]), str(v.coeffs[1]), fmt(v.vector.x), fmt(v.vector.y),
-                 "true" if v.strict else "false"]
-            )
-        )
-    lines.append("")
-    lines.append("x,y")
-    for p in poly.vertices:
-        lines.append(f"{fmt(p.x)},{fmt(p.y)}")
+        cells = [str(v.coeffs[0]), str(v.coeffs[1]), fmt(v.vector.x), fmt(v.vector.y)]
+        lines.append(",".join([*cells, "true" if v.strict else "false"]))
+    lines += ["", "x,y", *(f"{fmt(p.x)},{fmt(p.y)}" for p in poly.vertices)]
     print("\n".join(lines))
     return 0
 

@@ -16,8 +16,8 @@ root product); there are no absolute thresholds anywhere.
 
 The value types are immutable named tuples, so they also unpack, index and
 compare equal to plain tuples of the same values. Vec2, Basis2, Superbase2
-and ObtuseSuperbase check their arguments when constructed (the named-tuple
-helpers _make and _replace do not); Vec2 arithmetic is not re-checked.
+and ObtuseSuperbase check their arguments when constructed, also through the
+named-tuple helpers _make and _replace; Vec2 arithmetic is not re-checked.
 """
 
 from __future__ import annotations
@@ -53,10 +53,13 @@ class Vec2(NamedTuple("Vec2", [("x", float), ("y", float)])):
     """Plane vector (lengths in Angstroms), finite when a caller builds it.
 
     Only the constructor checks the coordinates: sums, differences,
-    negations and rotations are built without a second check.
+    negations and rotations are built without a second check. Vectors do
+    not order or repeat as tuples do: ``<`` and ``*`` raise TypeError.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace calls it too
+    __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
 
     def __new__(cls, x: float, y: float):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -164,6 +167,7 @@ class Basis2(NamedTuple("Basis2", [("v1", Vec2), ("v2", Vec2)])):
     """Two independent plane vectors generating a lattice."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, v1: Vec2, v2: Vec2):
         check_basis(v1.x, v1.y, v2.x, v2.y)
@@ -185,6 +189,7 @@ class Superbase2(NamedTuple("Superbase2", [("v0", Vec2), ("v1", Vec2), ("v2", Ve
     """Ordered vector triple (v0, v1, v2) summing to zero."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, v0: Vec2, v1: Vec2, v2: Vec2):
         _check_superbase(v0, v1, v2)
@@ -209,6 +214,7 @@ class ObtuseSuperbase(NamedTuple("ObtuseSuperbase", [("v0", Vec2), ("v1", Vec2),
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, v0: Vec2, v1: Vec2, v2: Vec2, reduction_steps: int = 0):
         _check_superbase(v0, v1, v2)
@@ -328,23 +334,25 @@ def _obtuse_root_products(x0, y0, x1, y1, x2, y2):
     SIGN_TOL times the largest (a vanishing smallest one is a rectangular
     cell, whose obtuse superbases are related by reflections).
     """
-    c = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
+    p12, p01, p02 = -(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2)
     tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
-    if min(c) < -tol:
-        raise ValueError(f"superbase is not obtuse: conorms {c}")
-    if sorted(c)[1] <= tol:
+    if p12 < -tol or p01 < -tol or p02 < -tol:
+        raise ValueError(f"superbase is not obtuse: conorms {(p12, p01, p02)}")
+    if p12 <= tol and (p01 <= tol or p02 <= tol) or p01 <= tol and p02 <= tol:
         # two vanishing conorms force a vanishing vonorm
-        raise DegenerateLattice(f"two conorms vanish: {c}")
-    w = [math.sqrt(p) if p > 0.0 else 0.0 for p in c]
+        raise DegenerateLattice(f"two conorms vanish: {(p12, p01, p02)}")
+    a = math.sqrt(p12) if p12 > 0.0 else 0.0
+    b = math.sqrt(p01) if p01 > 0.0 else 0.0
+    c = math.sqrt(p02) if p02 > 0.0 else 0.0
     if x1 * y2 - y1 * x2 < 0.0:
-        w[1], w[2] = w[2], w[1]
-    lo, mid, hi = sorted(w)
+        b, c = c, b
+    # rotate the first minimum to the front; the other two, ordered, give (lo, mid, hi)
+    lo, b, c = (a, b, c) if a <= b and a <= c else (b, c, a) if b <= c else (c, a, b)
+    mid, hi = (b, c) if b <= c else (c, b)
     tol = SIGN_TOL * hi
     if lo <= tol or mid - lo <= tol or hi - mid <= tol:
         return (lo, mid, hi), LatticeSign.NEUTRAL
-    k = w.index(lo)
-    w = w[k:] + w[:k]
-    return tuple(w), LatticeSign.POSITIVE if w[1] < w[2] else LatticeSign.NEGATIVE
+    return (lo, b, c), LatticeSign.POSITIVE if b < c else LatticeSign.NEGATIVE
 
 
 def reduce_to_obtuse(s: Superbase2, max_iter: int = MAX_ITER) -> ObtuseSuperbase:

@@ -40,6 +40,7 @@ class QTPoint(NamedTuple("QTPoint", [("x", float), ("y", float), ("signed_x", fl
     """Quotient-triangle coordinates; signed_x is negative for mirror images."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, x: float, y: float, signed_x: float):
         if abs(signed_x) != x:

@@ -167,6 +167,69 @@ class TestRootform:
         assert out.splitlines()[1:] == ["sq,0,1,1,neutral"]
 
 
+# whitespace of every kind around ids, kinds and numbers, with every way a line
+# can be skipped; \x1f is the one separator str.splitlines keeps in a line
+MIXED_WHITESPACE = (
+    "# header comment\n"
+    " sq , cell2 ,\t1\t, 1 , 90 \n"
+    "\u00a0hexa\u00a0,\u00a0cell2\u00a0,\u00a01\u00a0,\u00a01\u00a0,\u00a0120\u00a0\n"
+    "\n"
+    "   \t  \n"
+    "\u2003rect\u2003,\u2003ortho3\u2003,\u20035\u2003,\u20037\u2003,\u200312\u2003  # note\n"
+    "# only a comment\n"
+    " , \n"
+    "bad,ortho3, a ,2,3\n"
+    "short,basis,1,0,0\n"
+    "odd, wedge ,1,2,3\n"
+    "\t,basis,1,0,0,1\n"
+    "loner\n"
+    "sep,basis,\x1f3\x1f,0,-1,3\n"
+    "mirror\t,\tbasis\t,\t3\t,\t0\t,\t-2\t,\t3\t\n"
+    "mono , mono3 , 6 , 9 , 8 , 105\n"
+)
+
+
+class TestLenientWhitespace:
+    """rootform bytes on a file of mixed whitespace and bad lines, pinned from
+    the parser that stripped every field before converting it."""
+
+    WARNINGS = (
+        "warning: skipped line 8: empty record id\n"
+        "warning: skipped line 9: non-numeric parameter in ['a', '2', '3']\n"
+        "warning: skipped line 10: kind 'basis' takes 4 parameters, got 3\n"
+        "warning: skipped line 11: unknown kind 'wedge'\n"
+        "warning: skipped line 12: empty record id\n"
+        "warning: skipped line 13: expected id,kind,params...\n"
+    )
+
+    @pytest.mark.parametrize("oriented, mirror", [
+        (False, "mirror,1.73205080757,2.44948974278,2.64575131106,negative\n"),
+        (True, "mirror,1.73205080757,2.64575131106,2.44948974278,negative\n"),
+    ])
+    def test_output_bytes(self, tmp_path, capsys, oriented, mirror):
+        src = tmp_path / "in.csv"
+        src.write_text(MIXED_WHITESPACE, encoding="utf-8")
+        flags = ["--oriented"] if oriented else []
+        code, out, err = run(capsys, "rootform", "-i", str(src), "--lenient", *flags)
+        assert code == 0
+        assert err == self.WARNINGS
+        assert out == (
+            "id,r12,r01,r02,sign\n"
+            "sq,0,1,1,neutral\n"
+            "hexa,0.707106781187,0.707106781187,0.707106781187,neutral\n"
+            "rect,0,5,7,neutral\n"
+            "sep,1.73205080757,2.44948974278,2.64575131106,positive\n"
+            + mirror +
+            "mono,3.52467220673,4.85558295523,7.18169101501,positive\n"
+        )
+
+    def test_strict_mode_stops_at_the_first_bad_line(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text(MIXED_WHITESPACE, encoding="utf-8")
+        code, out, err = run(capsys, "rootform", "-i", str(src))
+        assert (code, out, err) == (1, "", "error: line 8: empty record id\n")
+
+
 class TestDist:
     def test_rootform_inputs(self, capsys):
         code, out, _ = run(

@@ -21,7 +21,7 @@ from rootforms import (
     superbase_from_basis,
     to_quotient_triangle,
 )
-from rootforms.records import LatticeRecord, format_number
+from rootforms.records import LatticeRecord, format_number, parse_record_line
 
 from helpers import oracle_grid_bytes
 
@@ -65,6 +65,57 @@ class TestParsing:
             parse_records("ok,ortho3,1,2,3\n" + line + "\n")
         assert err.value.line == 2
         assert fragment in str(err.value)
+
+
+# the whitespace a record line may carry around its fields: str.strip and
+# float both skip these
+SPACES = [" ", "\t", "\u00a0", "\u2003", " \t\u00a0\u2003 "]
+
+
+class TestParseWhitespace:
+    @pytest.mark.parametrize("w", SPACES, ids=["space", "tab", "nbsp", "em-space", "mixed"])
+    def test_around_every_field(self, w):
+        text = f"{w}A{w},{w}mono3{w},{w}6{w},{w}9{w},{w}8{w},{w}105{w}"
+        assert parse_record_line(text, 4) == LatticeRecord("A", "mono3", (6.0, 9.0, 8.0, 105.0), 4)
+        text = f"{w}B{w},{w}basis{w},{w}3{w},{w}-0{w},{w}-1e0{w},{w}3.{w}  # note"
+        assert parse_record_line(text, 5) == LatticeRecord("B", "basis", (3.0, -0.0, -1.0, 3.0), 5)
+
+    def test_internal_whitespace_of_an_id_is_kept(self):
+        assert parse_record_line(" a b ,cell2,1,1,90", 1).id == "a b"
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separators_that_str_strip_drops_and_float_keeps(self, sep):
+        # float refuses "\x1f3\x1f" where "3" after str.strip parses
+        text = f"{sep}S{sep},{sep}cell2{sep},{sep}1{sep},2,{sep}90{sep}"
+        assert parse_record_line(text, 2) == LatticeRecord("S", "cell2", (1.0, 2.0, 90.0), 2)
+
+    @pytest.mark.parametrize("text", [
+        "", " ", "\t", "   \t  ", "\u00a0\u2003", "#", "# only a comment", "  \t# indented",
+        "#A,basis,1,0,0,1",
+    ])
+    def test_lines_without_a_record(self, text):
+        assert parse_record_line(text, 3) is None
+
+    @pytest.mark.parametrize("text, reason", [
+        (" , ", "empty record id"),
+        ("\t,basis,1,0,0,1", "empty record id"),
+        ("\u00a0,basis,1,0,0,1", "empty record id"),
+        ("X,ortho3, a ,2,3", "non-numeric parameter in ['a', '2', '3']"),
+        ("X,ortho3,\t1\t, ,3", "non-numeric parameter in ['1', '', '3']"),
+        ("X,cell2,1,2,9 0", "non-numeric parameter in ['1', '2', '9 0']"),
+        ("X,ortho3,1,2,3,", "kind 'ortho3' takes 3 parameters, got 4"),
+        ("X, basis ,1,0,0", "kind 'basis' takes 4 parameters, got 3"),
+        ("X,cell2", "kind 'cell2' takes 3 parameters, got 0"),
+        ("X, wedge ,1,2,3", "unknown kind 'wedge'"),
+        ("X,Basis,1,0,0,1", "unknown kind 'Basis'"),
+        ("X,,1,0,0,1", "unknown kind ''"),
+        ("loner", "expected id,kind,params..."),
+        ("X,ortho3,nan,2,3", "non-finite parameter"),
+    ])
+    def test_exact_messages(self, text, reason):
+        with pytest.raises(ParseError) as err:
+            parse_record_line(text, 9)
+        assert (err.value.line, err.value.reason, str(err.value)) == (9, reason, f"line 9: {reason}")
 
 
 class TestProjection:
@@ -182,6 +233,21 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit_grid(grid, "svg")
 
+    def test_csv_memory_stays_near_the_output_size(self):
+        # every count has two or more digits, so each is spliced into the body;
+        # keeping a slice object per count would take about 20 MB here
+        counts = {k: 10 + k % 990 for k in range(300 * 300)}
+        grid = DensityGrid(GridSpec(0, 1, 0, 1, 300), counts, 0)
+        tracemalloc.start()
+        try:
+            data = emit_grid(grid, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(data), (peak, len(data))
+        cells = [int(c) for row in data.decode("ascii").splitlines()[1:] for c in row.split(",")]
+        assert cells == [counts[k] for k in range(300 * 300)]
+
     def test_number_formatting(self):
         assert format_number(1 / 3) == "0.333333333333"
         assert format_number(-0.0) == "0"
@@ -231,6 +297,55 @@ class TestEmitMatchesDenseOracle:
         # are .5 ties that round to even: 0, 2 and 2
         points = [(0.3, 0.9)] * peak + [(0.5, 0.1)] + [(0.9, 0.5)] * 3 + [(0.1, 0.1)] * 5
         self.check(points + [(1.0, 1.0)] * 2, GridSpec(0.0, 1.0, 0.0, 1.0, 7))
+
+    @pytest.mark.parametrize("count", [9, 10, 99, 100, 70000])  # 70000 scales a 16-bit PGM
+    @pytest.mark.parametrize("corner", [(0, 1), (1, 1), (0, 0), (1, 0)],
+                             ids=["first-row-first", "first-row-last", "last-row-first",
+                                  "last-row-last"])
+    def test_counts_at_the_corners(self, count, corner):
+        # res 5, pixel centres at (i + 0.5) / 5; raster row 0 is the largest y
+        res = 5
+        ix, iy = corner[0] * (res - 1), corner[1] * (res - 1)
+        nx = ix + 1 if ix == 0 else ix - 1  # a small count next to the corner, in its row
+        x, y, xn = (ix + 0.5) / res, (iy + 0.5) / res, (nx + 0.5) / res
+        points = [(x, y)] * count + [(xn, y)] * 3 + [(0.5, 0.5)]
+        self.check(points, GridSpec(0.0, 1.0, 0.0, 1.0, res))
+
+    @pytest.mark.parametrize("pixels", [(6, 7), (7, 8), (0, 1), (14, 15)],
+                             ids=["ending-a-row", "across-rows", "first-two", "last-two"])
+    def test_adjacent_wide_counts(self, pixels):
+        # res 4: raster index k is row k // 4, so 6 and 7 end row 1 and 8 starts row 2
+        res = 4
+        points = []
+        for k, count in zip(pixels, (12, 345)):
+            row, ix = divmod(k, res)
+            points += [((ix + 0.5) / res, (res - 1 - row + 0.5) / res)] * count
+        grid = accumulate_grid(points, GridSpec(0.0, 1.0, 0.0, 1.0, res))
+        assert grid.counts == dict(zip(pixels, (12, 345)))
+        self.check(points, GridSpec(0.0, 1.0, 0.0, 1.0, res))
+
+    @pytest.mark.parametrize("count", [0, 1, 9, 10, 123, 70000])
+    def test_res_1(self, count):
+        self.check([(0.5, 0.5)] * count, GridSpec(0.0, 1.0, 0.0, 1.0, 1))
+
+    @pytest.mark.parametrize("counts", [(0, 0, 0, 0), (1, 0, 0, 9), (10, 9, 100, 1),
+                                        (11, 12, 13, 14), (0, 99, 0, 100)])
+    def test_res_2(self, counts):
+        centres = [(0.25, 0.75), (0.75, 0.75), (0.25, 0.25), (0.75, 0.25)]  # raster order
+        points = [p for p, c in zip(centres, counts) for _ in range(c)]
+        grid = accumulate_grid(points, GridSpec(0.0, 1.0, 0.0, 1.0, 2))
+        assert grid.counts == {k: c for k, c in enumerate(counts) if c}
+        self.check(points, GridSpec(0.0, 1.0, 0.0, 1.0, 2))
+
+    @pytest.mark.parametrize("seed", [3, 41])
+    def test_dense_random_grid(self, seed):
+        # most pixels occupied, with one- to three-digit counts side by side
+        rng = np.random.default_rng(seed)
+        points = rng.beta(2.0, 5.0, size=(30000, 2)).tolist()
+        spec = GridSpec(0.0, 1.0, 0.0, 1.0, 40)
+        counts = accumulate_grid(points, spec).counts.values()
+        assert len(counts) > 1000 and min(counts) < 10 and max(counts) >= 100
+        self.check(points, spec)
 
     def test_bin_storage_grows_with_occupied_pixels_not_res_squared(self):
         rng = np.random.default_rng(2000)

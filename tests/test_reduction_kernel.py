@@ -30,6 +30,7 @@ from helpers import (
 from rootforms import (
     Basis2,
     DegenerateBasis,
+    DegenerateLattice,
     IterationLimitExceeded,
     LatticeError,
     LatticeSign,
@@ -38,7 +39,7 @@ from rootforms import (
     reduce_to_obtuse,
     superbase_from_basis,
 )
-from rootforms.lattice import orient_obtuse
+from rootforms.lattice import SIGN_TOL, _obtuse_root_products, orient_obtuse
 
 
 def _scaled(b: Basis2, f: float) -> Basis2:
@@ -166,3 +167,61 @@ def test_step_cap_message_matches():
         with pytest.raises(IterationLimitExceeded, match=f"^reduction exceeded {cap} steps$"):
             reduce_to_obtuse(s, max_iter=cap)
     assert reduce_to_obtuse(s, max_iter=full.reduction_steps) == full
+
+
+def _listed_root_products(x0, y0, x1, y1, x2, y2):
+    """Reference for lattice._obtuse_root_products: conorms and roots as lists,
+    sorted, and the first minimum found by list.index."""
+    c = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
+    tol = 1e-10 * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
+    if min(c) < -tol:
+        raise ValueError(f"superbase is not obtuse: conorms {c}")
+    if sorted(c)[1] <= tol:
+        raise DegenerateLattice(f"two conorms vanish: {c}")
+    w = [math.sqrt(p) if p > 0.0 else 0.0 for p in c]
+    if x1 * y2 - y1 * x2 < 0.0:
+        w[1], w[2] = w[2], w[1]
+    lo, mid, hi = sorted(w)
+    tol = SIGN_TOL * hi
+    if lo <= tol or mid - lo <= tol or hi - mid <= tol:
+        return (lo, mid, hi), LatticeSign.NEUTRAL
+    k = w.index(lo)
+    w = w[k:] + w[:k]
+    return tuple(w), LatticeSign.POSITIVE if w[1] < w[2] else LatticeSign.NEGATIVE
+
+
+def _outcome(fn, v):
+    try:
+        return fn(*v)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_unrolled_root_products_match_the_listed_reference():
+    # seeded superbases (v0, v1, v2) of every kind: chiral, near and exact ties
+    # (square, hexagonal, rectangular, rhombic), non-obtuse and two-vanishing ones,
+    # each in all three cyclic labellings and mirrored; the draws are numpy floats,
+    # whose comparisons give numpy bools, as a numpy caller's would
+    rng = make_rng(1010)
+    h = math.sqrt(3.0) / 2.0
+    cells = [((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (-0.5, h)), ((2.0, 0.0), (0.0, 1.0)),
+             ((1.0, 0.0), (-0.5, 2.0)), ((1.0, 0.0), (-0.5, h * (1.0 + 1e-9))),
+             ((1.0, 0.0), (0.0, 0.0)), ((1.0, 0.0), (1.0, 1.0))]
+    for _ in range(3000):
+        cells.append(tuple(tuple(rng.choice([rng.uniform(-3.0, 3.0), float(rng.integers(-2, 3)),
+                                             0.5 * float(rng.integers(-4, 5))]) for _ in range(2))
+                           for _ in range(2)))
+    seen = set()
+    for (x1, y1), (x2, y2) in cells:
+        x0, y0 = -(x1 + x2), -(y1 + y2)
+        for v in ((x0, y0, x1, y1, x2, y2), (x1, y1, x2, y2, x0, y0), (x2, y2, x0, y0, x1, y1),
+                  (x0, -y0, x1, -y1, x2, -y2)):
+            expected = _outcome(_listed_root_products, v)
+            assert _outcome(_obtuse_root_products, v) == expected, v
+            seen.add(expected[0] if isinstance(expected[0], type) else expected[1])
+    assert seen == {ValueError, DegenerateLattice, *LatticeSign}
+
+
+def test_two_vanishing_conorms_message():
+    with pytest.raises(DegenerateLattice, match=r"^two conorms vanish: \(-0\.0, 1\.0, -0\.0\)$"):
+        _obtuse_root_products(-1.0, 0.0, 1.0, 0.0, 0.0, 0.0)

@@ -87,6 +87,13 @@ class TestContract:
         for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert clone == obj and type(clone) is cls
 
+    def test_make_and_replace_round_trip(self, cls, args, kwargs):
+        obj = cls._make(args)
+        assert obj == cls(*args) and type(obj) is cls
+        name, value = next(iter(kwargs.items()))
+        assert obj._replace() == obj and type(obj._replace()) is cls
+        assert obj._replace(**{name: value}) == obj
+
 
 class TestDefaultsAndFields:
     def test_record_line_defaults_to_zero(self):
@@ -148,6 +155,18 @@ class TestTupleSemantics:
         assert Superbase2._fields == ("v0", "v1", "v2")
         assert ObtuseSuperbase._fields == ("v0", "v1", "v2", "reduction_steps")
         assert LatticeRecord._field_defaults == {"line": 0}
+
+    def test_vectors_neither_repeat_nor_order(self):
+        # tuple repetition and lexicographic order mean nothing for a plane vector
+        v, w = Vec2(1.0, 2.0), Vec2(2.0, 0.0)
+        for op in (lambda: v * 2, lambda: 2 * v, lambda: v * w, lambda: v < w, lambda: v <= w,
+                   lambda: v > w, lambda: v >= w, lambda: sorted([w, v]), lambda: max(v, w)):
+            with pytest.raises(TypeError):
+                op()
+        # equality, hashing and the vector arithmetic stay as they were
+        assert v == Vec2(1.0, 2.0) == (1.0, 2.0) and v != w
+        assert hash(v) == hash((1.0, 2.0)) and len({v, Vec2(1.0, 2.0)}) == 1
+        assert v + w == Vec2(3.0, 2.0) and v - w == Vec2(-1.0, 2.0) and -v == Vec2(-1.0, -2.0)
 
     def test_a_superbase_is_not_an_obtuse_one(self):
         # an ObtuseSuperbase carries its step count, so it never equals a Superbase2
@@ -215,3 +234,37 @@ class TestValidation:
         with pytest.raises(LatticeError, match="^coordinates overflow") as info:
             Basis2(Vec2(1e200, 1e200), Vec2(1e200, 2e200))
         assert type(info.value) is LatticeError
+
+    @pytest.mark.parametrize("cls, message, build", [
+        (ValueError, "non-finite vector (nan, 0)", lambda: Vec2._make((math.nan, 0))),
+        (ValueError, "non-finite vector (1.0, inf)", lambda: Vec2(1.0, 2.0)._replace(y=math.inf)),
+        (DegenerateBasis, "basis determinant 0 below tolerance for scale 4",
+         lambda: Basis2._make((V1, Vec2(4.0, 0.0)))),
+        (DegenerateBasis, "basis determinant 0 below tolerance for scale 2",
+         lambda: Basis2(V1, V2)._replace(v2=Vec2(-1.0, 0.0))),
+        (ValueError, "superbase vectors sum to (1, 2), not zero",
+         lambda: Superbase2(V0, V1, V2)._replace(v0=Vec2(0.0, 0.0))),
+        (ValueError, "superbase vectors sum to (1, 2), not zero",
+         lambda: Superbase2._make((Vec2(0.0, 0.0), V1, V2))),
+        (ValueError, "superbase is not obtuse: conorms (-1.0, 2.0, 3.0)",
+         lambda: ObtuseSuperbase._make((Vec2(-2.0, -1.0), Vec2(1.0, 0.0), Vec2(1.0, 1.0), 3))),
+        (ValueError, "superbase vectors sum to (1, 2), not zero",
+         lambda: ObtuseSuperbase(V0, V1, V2, 3)._replace(v0=Vec2(0.0, 0.0))),
+        (ValueError, "signed_x must be +-x", lambda: QTPoint(0.25, 0.1, -0.25)._replace(x=0.5)),
+        (ValueError, "signed_x must be +-x", lambda: QTPoint._make((1, 0, 2))),
+        (InvalidGridSpec, "resolution must be a positive integer, got 0",
+         lambda: GridSpec(0, 1, 0, 1, 2)._replace(resolution=0)),
+        (InvalidGridSpec, "grid bounds must satisfy max > min on both axes",
+         lambda: GridSpec._make((0, 1, 1, 1, 2))),
+    ], ids=["Vec2._make", "Vec2._replace", "Basis2._make", "Basis2._replace",
+            "Superbase2._replace", "Superbase2._make", "ObtuseSuperbase._make",
+            "ObtuseSuperbase._replace", "QTPoint._replace", "QTPoint._make",
+            "GridSpec._replace", "GridSpec._make"])
+    def test_make_and_replace_run_the_checks(self, cls, message, build):
+        _raises_exactly(cls, message, build)
+
+    def test_replace_keeps_a_valid_value_checked_and_typed(self):
+        spec = GridSpec(0, 1, 0, 1, 2)._replace(resolution=np.int64(3))
+        assert spec == GridSpec(0, 1, 0, 1, 3) and type(spec.resolution) is int
+        obt = ObtuseSuperbase(V0, V1, V2)._replace(reduction_steps=2)
+        assert type(obt) is ObtuseSuperbase and obt.reduction_steps == 2
