@@ -12,7 +12,6 @@ from .errors import (
     DegenerateBasis,
     DegenerateLattice,
     InvalidGridSpec,
-    IterationLimitExceeded,
     LatticeError,
     NegativeConorm,
     ParseError,

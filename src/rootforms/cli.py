@@ -74,10 +74,8 @@ def _process_records(args):
 
     A bad line is skipped with a warning (lenient) or aborts the run.
     """
-    with open(args.input, "r", encoding="utf-8") as fh:
-        # splitting each chunk again keeps str.splitlines line numbering
-        lines = (line for chunk in fh for line in chunk.splitlines())
-        for i, line in enumerate(lines, start=1):
+    with open(args.input, "r", encoding="utf-8", newline="\n") as fh:
+        for i, line in enumerate(fh, start=1):
             rec = None
             try:
                 rec = parse_record_line(line, i)

@@ -17,10 +17,6 @@ class DegenerateLattice(LatticeError):
     """Lattice collapses to a lower dimension (two vanishing root products)."""
 
 
-class IterationLimitExceeded(LatticeError):
-    """Superbase reduction did not terminate within the step cap."""
-
-
 class NegativeConorm(LatticeError):
     """A conorm came out negative beyond tolerance where it must not."""
 

@@ -17,7 +17,8 @@ root product); there are no absolute thresholds anywhere.
 The value types are immutable named tuples, so they also unpack, index and
 compare equal to plain tuples of the same values. Vec2, Basis2, Superbase2
 and ObtuseSuperbase check their arguments when constructed, also through the
-named-tuple helpers _make and _replace; Vec2 arithmetic is not re-checked.
+named-tuple helpers _make and _replace, and nothing checks them again: not
+Vec2 arithmetic, oriented_root_form, or reduce_to_obtuse and its result.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import NamedTuple
 from .errors import (
     DegenerateBasis,
     DegenerateLattice,
-    IterationLimitExceeded,
     LatticeError,
     NegativeConorm,
 )
@@ -44,9 +44,6 @@ NEG_TOL = 1e-10
 SIGN_TOL = 1e-8
 # Relative tolerance on |v0 + v1 + v2| when validating a superbase.
 SUM_TOL = 1e-9
-# Reduction step cap; termination is guaranteed in exact arithmetic, the cap
-# turns floating-point pathology into a diagnosable error.
-MAX_ITER = 1000
 
 
 class Vec2(NamedTuple("Vec2", [("x", float), ("y", float)])):
@@ -59,7 +56,11 @@ class Vec2(NamedTuple("Vec2", [("x", float), ("y", float)])):
 
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace calls it too
-    __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: NotImplemented
+    __mul__ = __rmul__ = lambda self, other: NotImplemented
+
+    def __lt__(self, other):  # NotImplemented would let a tuple's reflected order answer
+        raise TypeError("Vec2 has no order")
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __new__(cls, x: float, y: float):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -266,13 +267,13 @@ def conorms_from_vonorms(n: VonormTriple) -> ConormTriple:
     return c
 
 
-def lagrange_gauss(x1: float, y1: float, x2: float, y2: float, max_iter: int = MAX_ITER):
+def lagrange_gauss(x1: float, y1: float, x2: float, y2: float):
     """Lagrange-Gauss reduction of the plane basis ((x1, y1), (x2, y2)) on floats.
 
     Each pass subtracts the nearest integer multiple of the shorter vector
-    from the longer one, then swaps them if the result came out shorter; the
-    lengths shrink geometrically, so a pass count near MAX_ITER means the
-    floats went wrong, not that the basis was skewed.
+    from the longer one, then swaps them if the result came out shorter. Each
+    swap strictly shrinks the shorter squared length, so the loop ends, after
+    O(log(max|v|^2 / |det|)) passes (B. Vallée 1991); check_basis caps the ratio.
 
     Returns ((x1, y1, x2, y2), (m1, m2), passes): the reduced pair u1, u2 with
     |u1| <= |u2| and |u1 . u2| <= |u1|^2 / 2, the integer rows m1, m2 that
@@ -284,8 +285,6 @@ def lagrange_gauss(x1: float, y1: float, x2: float, y2: float, max_iter: int = M
         x1, y1, n1, a1, b1, x2, y2, n2, a2, b2 = x2, y2, n2, a2, b2, x1, y1, n1, a1, b1
     passes = 0
     while True:
-        if passes >= max_iter:
-            raise IterationLimitExceeded(f"reduction exceeded {max_iter} steps")
         if n1 == 0.0:
             raise LatticeError("a squared length underflows to zero; rescale the coordinates")
         passes += 1
@@ -298,7 +297,7 @@ def lagrange_gauss(x1: float, y1: float, x2: float, y2: float, max_iter: int = M
         x1, y1, n1, a1, b1, x2, y2, n2, a2, b2 = x2, y2, n2, a2, b2, x1, y1, n1, a1, b1
 
 
-def oriented_root_products(x1: float, y1: float, x2: float, y2: float, max_iter: int = MAX_ITER):
+def oriented_root_products(x1: float, y1: float, x2: float, y2: float):
     """The float kernel: a basis, checked once by check_basis, to its root form.
 
     The superbase (-(v1 + v2), v1, v2) is kept, with 0 passes, when no
@@ -309,15 +308,19 @@ def oriented_root_products(x1: float, y1: float, x2: float, y2: float, max_iter:
     case of Selling reduction).
 
     Returns ((x0, y0, x1, y1, x2, y2), oriented root products, sign, passes)
-    as plain floats, the sign as in oriented_root_form. Raises
-    IterationLimitExceeded past max_iter passes.
+    as plain floats, the sign as in oriented_root_form.
     """
     check_basis(x1, y1, x2, y2)
+    return _oriented_root_products(x1, y1, x2, y2)
+
+
+def _oriented_root_products(x1, y1, x2, y2):
+    """oriented_root_products of a basis that has passed check_basis."""
     x0, y0 = -(x1 + x2), -(y1 + y2)
     tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
     passes = 0
     if x1 * x2 + y1 * y2 > tol or x0 * x1 + y0 * y1 > tol or x0 * x2 + y0 * y2 > tol:
-        (x1, y1, x2, y2), _, passes = lagrange_gauss(x1, y1, x2, y2, max_iter)
+        (x1, y1, x2, y2), _, passes = lagrange_gauss(x1, y1, x2, y2)
         if x1 * x2 + y1 * y2 > 0.0:
             x2, y2 = -x2, -y2
         x0, y0 = -(x1 + x2), -(y1 + y2)
@@ -355,20 +358,19 @@ def _obtuse_root_products(x0, y0, x1, y1, x2, y2):
     return (lo, b, c), LatticeSign.POSITIVE if b < c else LatticeSign.NEGATIVE
 
 
-def reduce_to_obtuse(s: Superbase2, max_iter: int = MAX_ITER) -> ObtuseSuperbase:
+def reduce_to_obtuse(s: Superbase2) -> ObtuseSuperbase:
     """Obtuse superbase of the same lattice, by oriented_root_products on (v1, v2).
 
-    A superbase that needs no pass comes back unchanged. Passes beyond
-    max_iter raise IterationLimitExceeded; reduction_steps counts them.
+    A superbase that needs no pass comes back unchanged; reduction_steps
+    counts the passes. Superbase2 checked s when it was built, and the
+    kernel's result is obtuse by construction, so neither is checked again.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    (x0, y0, x1, y1, x2, y2), _, _, steps = oriented_root_products(
-        s.v1.x, s.v1.y, s.v2.x, s.v2.y, max_iter
-    )
+    (x0, y0, x1, y1, x2, y2), _, _, steps = _oriented_root_products(*s.v1, *s.v2)
+    new = tuple.__new__
     if steps == 0:
-        return ObtuseSuperbase(s.v0, s.v1, s.v2)
-    return ObtuseSuperbase(Vec2(x0, y0), Vec2(x1, y1), Vec2(x2, y2), reduction_steps=steps)
+        return new(ObtuseSuperbase, (s.v0, s.v1, s.v2, 0))
+    v0, v1, v2 = new(Vec2, (x0, y0)), new(Vec2, (x1, y1)), new(Vec2, (x2, y2))
+    return new(ObtuseSuperbase, (v0, v1, v2, steps))
 
 
 def root_form(s: ObtuseSuperbase) -> RootForm:
@@ -396,7 +398,7 @@ def oriented_root_form(b: Basis2) -> tuple[OrientedRootForm, LatticeSign]:
     is positive when the last two entries ascend, negative when they descend,
     and neutral when the lattice is achiral (then the triple is fully sorted).
     """
-    _, w, sign, _ = oriented_root_products(b.v1.x, b.v1.y, b.v2.x, b.v2.y)
+    _, w, sign, _ = _oriented_root_products(*b.v1, *b.v2)
     return OrientedRootForm(*w), sign
 
 

@@ -1,6 +1,7 @@
 """Batch record ingestion, 3D-to-2D projections and density grids.
 
-Record files are UTF-8 text, one record per line:
+Record files are UTF-8 text, one record per line. Only LF ends a line: a CR
+before it is whitespace, and a lone CR, FF or U+2028 stays in its line:
 
     id,kind,param1,param2,...
 
@@ -107,8 +108,8 @@ def _check_angle(angle: float, line: int) -> None:
 
 
 def parse_records(stream: str) -> list[LatticeRecord]:
-    """Parse a whole record file; raises ParseError on the first bad line."""
-    parsed = (parse_record_line(text, i) for i, text in enumerate(stream.splitlines(), start=1))
+    """Parse a whole record file (lines end at LF); raises ParseError on the first bad line."""
+    parsed = (parse_record_line(text, i) for i, text in enumerate(stream.split("\n"), start=1))
     return [rec for rec in parsed if rec is not None]
 
 
@@ -246,10 +247,10 @@ def _emit_pgm(grid: DensityGrid) -> bytes:
     res = grid.spec.resolution
     max_count = max(grid.counts.values(), default=0)
     maxval = min(65535, max(max_count, 1))
-    scale = maxval / max_count if max_count > maxval else 1  # round() takes ties to even
+    scale = maxval / max_count if max_count > maxval else None  # round() takes ties to even
     image = bytearray(res * res) if maxval <= 255 else array("H", bytes(2 * res * res))
     for k, c in grid.counts.items():
-        image[k] = round(c * scale)
+        image[k] = c if scale is None else round(c * scale)
     if maxval > 255 and sys.byteorder == "little":
         image.byteswap()  # PGM stores 16-bit samples big-endian
     return f"P5\n{res} {res}\n{maxval}\n".encode("ascii") + bytes(image)

@@ -14,7 +14,6 @@ import numpy as np
 
 from rootforms import (
     Basis2,
-    IterationLimitExceeded,
     LatticeSign,
     ObtuseSuperbase,
     RootForm,
@@ -24,10 +23,15 @@ from rootforms import (
     reconstruct_superbase,
     vonorms,
 )
-from rootforms.lattice import MAX_ITER, NEG_TOL, SIGN_TOL
+from rootforms.lattice import NEG_TOL, SIGN_TOL
 from rootforms.records import GridSpec, format_number
 
 ULP = 2.0 ** -52
+
+# The characters besides "\n" at which str.splitlines breaks a line. A record
+# line ends only at "\n", so each of these stays inside its line ("\r" only
+# when no "\n" follows it).
+LINE_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -121,8 +125,15 @@ def perturbed_superbase(rng, s: Superbase2, delta: float):
 # switched to Lagrange-Gauss: negate one vector of the most negative conorm's
 # pair and rebuild the third, building and validating a Superbase2 at every
 # step. Its step count grows linearly with skew, so bases sheared past about
-# MAX_ITER raise IterationLimitExceeded here; elsewhere its root forms must
+# ORACLE_MAX_FLIPS raise OracleStepCap here; elsewhere its root forms must
 # agree with the exact reduction below as closely as the kernel's do.
+ORACLE_MAX_FLIPS = 1000
+
+
+class OracleStepCap(Exception):
+    """The flip-rule oracle gave up after ORACLE_MAX_FLIPS flips."""
+
+
 _ORACLE_FLIPS = {
     "p12": lambda v0, v1, v2: (v1 - v2, -v1, v2),
     "p01": lambda v0, v1, v2: (-v0, v1, v0 - v1),
@@ -130,11 +141,7 @@ _ORACLE_FLIPS = {
 }
 
 
-def oracle_reduce_to_obtuse(
-    s: Superbase2, neg_tol: float = NEG_TOL, max_iter: int = MAX_ITER
-) -> ObtuseSuperbase:
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+def oracle_reduce_to_obtuse(s: Superbase2, neg_tol: float = NEG_TOL) -> ObtuseSuperbase:
     cur = s
     steps = 0
     while True:
@@ -145,10 +152,8 @@ def oracle_reduce_to_obtuse(
                 pair, best_val = name, val
         if pair is None:
             break
-        if steps >= max_iter:
-            raise IterationLimitExceeded(
-                f"reduction exceeded {max_iter} steps; input is numerically pathological"
-            )
+        if steps >= ORACLE_MAX_FLIPS:
+            raise OracleStepCap(f"no obtuse superbase after {steps} flips")
         cur = Superbase2(*_ORACLE_FLIPS[pair](cur.v0, cur.v1, cur.v2))
         steps += 1
     return ObtuseSuperbase(cur.v0, cur.v1, cur.v2, reduction_steps=steps)

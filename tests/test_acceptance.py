@@ -203,7 +203,7 @@ def test_criterion_7_oracle_equivalence():
         rng = make_rng(4001)
         for _ in range(500):
             b = random_basis(rng, max_cond=1e3)
-            obt = reduce_to_obtuse(superbase_from_basis(b), max_iter=1000)
+            obt = reduce_to_obtuse(superbase_from_basis(b))
             assert verify_partial_sums(obt)
             assert voronoi_domain(b).area() == pytest.approx(abs(b.det), rel=1e-9)
 

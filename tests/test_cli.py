@@ -1,5 +1,6 @@
 """Command-line interface, exercised through main() and real files."""
 
+import ast
 import importlib.util
 import math
 import os
@@ -11,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from helpers import LINE_SEPARATORS, make_rng, random_basis
 from rootforms import (
+    Basis2,
     LatticeError,
+    Vec2,
     oriented_root_form,
     parse_records,
     project_to_2d,
@@ -168,7 +172,7 @@ class TestRootform:
 
 
 # whitespace of every kind around ids, kinds and numbers, with every way a line
-# can be skipped; \x1f is the one separator str.splitlines keeps in a line
+# can be skipped; \x1f is dropped by str.strip but refused by float
 MIXED_WHITESPACE = (
     "# header comment\n"
     " sq , cell2 ,\t1\t, 1 , 90 \n"
@@ -523,18 +527,21 @@ class TestStreaming:
         assert err.startswith(first) and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [src]
 
-    def test_line_numbers_follow_str_splitlines(self, tmp_path, capsys):
-        # iterating the file splits only at newlines; str.splitlines, whose
-        # numbering the messages use, also splits at these
-        seps = ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\n", "\r", "\n"]
+    def test_line_numbers_count_only_newlines(self, tmp_path, capsys):
+        # a line ends only at "\n", with or without a "\r" before it; every
+        # other separator stays inside its line, which fails as one bad line
+        kinds = [f"k{i}{sep}x{i}" for i, sep in enumerate(LINE_SEPARATORS)]
         src = tmp_path / "in.csv"
         with open(src, "w", encoding="utf-8", newline="") as fh:
-            fh.write("".join(f"r{i},k{i}{sep}" for i, sep in enumerate(seps)))
-        code, _, err = run(capsys, "rootform", "-i", str(src), "--lenient")
+            for i, kind in enumerate(kinds):
+                fh.write(f"r{i},{kind}" + ("\r\n" if i % 2 else "\n"))
+            fh.write("sq,cell2,1,1,90\r\n")
+        code, out, err = run(capsys, "rootform", "-i", str(src), "--lenient")
         assert code == 0
         assert err.splitlines() == [
-            f"warning: skipped line {i + 1}: unknown kind 'k{i}'" for i in range(len(seps))
+            f"warning: skipped line {i + 1}: unknown kind {kind!r}" for i, kind in enumerate(kinds)
         ]
+        assert out.splitlines()[1:] == ["sq,0,1,1,neutral"]
 
     def test_grid_options_are_checked_before_the_input_is_read(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -613,12 +620,43 @@ class TestApiAgreement:
         assert qt_out.read_text().splitlines() == want_qt
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestBenchmarkUsesThePublicApi:
+    """perfbench calls the package by name; a name it uses that is gone would
+    otherwise show only when the benchmark runs."""
+
+    def test_query_client_answers_a_planted_duplicate(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "tracing", _load_perfbench("tracing"))
+        query_loop = _load_perfbench("query_loop")  # it imports tracing by that name
+        api = query_loop.package_api()
+        b = random_basis(make_rng(41))
+        x1, y1, x2, y2 = (float(c) for c in (*b.v1, *b.v2))
+        prepared = query_loop.prepare(api, [(x1, y1, x2, y2)])
+        # the same lattice in another basis
+        orf, sign, rms, _, nearest, dist = query_loop.answer(
+            api, prepared, (x1 + x2, y1 + y2, x2, y2)
+        )
+        want = oriented_root_form(Basis2(Vec2(x1, y1), Vec2(x2, y2)))
+        assert orf == pytest.approx(tuple(want[0]), rel=1e-12) and sign == want[1].value
+        assert nearest == 0 and rms[0][0] < query_loop.THRESHOLD
+        assert dist is not None and dist < 1e-9
+
+    def test_names_run_py_imports_from_the_package_exist(self):
+        tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "rootforms"]
+        assert len(imports) >= 4
+        for node in imports:  # raises ImportError for a name that is gone
+            exec(compile(ast.Module([node], type_ignores=[]), "run.py", "exec"), {})
 
 
 class TestBenchmarkTrace:
@@ -632,7 +670,7 @@ class TestBenchmarkTrace:
 
         src = tmp_path / "in.csv"
         src.write_text("good,basis,3,0,-1,3\nbad,basis,1,0,2,0\n")
-        tracing = _load_tracing()
+        tracing = _load_perfbench("tracing")
         runs = []
         for tracer in (None, tracing.Tracer()):
             out = tmp_path / f"out{len(runs)}"

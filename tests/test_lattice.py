@@ -1,6 +1,7 @@
 """Core lattice machinery: superbases, reduction, conorms, root forms, signs."""
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,6 @@ from rootforms import (
     ConormTriple,
     DegenerateBasis,
     DegenerateLattice,
-    IterationLimitExceeded,
     LatticeError,
     LatticeSign,
     NegativeConorm,
@@ -40,6 +40,7 @@ from rootforms import (
     vonorms,
     vonorms_from_conorms,
 )
+from rootforms import lattice
 from rootforms.lattice import lagrange_gauss, oriented_root_products
 
 SQ3, SQ6, SQ7 = math.sqrt(3), math.sqrt(6), math.sqrt(7)
@@ -193,13 +194,11 @@ class TestReduction:
         assert obt.reduction_steps == 0
         assert conorms(obt) == pytest.approx((0.5, 0.5, 0.5), abs=1e-15)
 
-    def test_iteration_limit(self):
+    def test_swap_needs_a_second_pass(self):
         # (3.1, 0.5) - 3 (1, 0) = (0.1, 0.5) is shorter than (1, 0), so the
         # pair is swapped and a second pass is needed
         s = superbase_from_basis(basis(1, 0, 3.1, 0.5))
         assert reduce_to_obtuse(s).reduction_steps == 2
-        with pytest.raises(IterationLimitExceeded):
-            reduce_to_obtuse(s, max_iter=1)
 
     def test_monotone_vonorm_decrease(self):
         # an obtuse superbase has the least vonorm sum among the superbases of
@@ -250,6 +249,38 @@ class TestReduction:
             m = a_out @ np.linalg.inv(a_in)
             assert np.allclose(m, np.rint(m), atol=1e-6)
             assert abs(np.linalg.det(np.rint(m))) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestValidatedOnce:
+    """A value is checked when it is built; the functions that take it do not
+    check it again, and a kernel result is oriented once per call that needs it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("check_basis", "_obtuse_root_products"):
+            def counted(*args, _fn=getattr(lattice, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(lattice, name, counted)
+        return counts
+
+    # one basis that needs two passes, one whose superbase is already obtuse
+    BASES = [(1, 0, 3.1, 0.5), (3, 0, -1, 3)]
+
+    @pytest.mark.parametrize("coords", BASES)
+    def test_oriented_root_form_of_a_built_basis(self, calls, coords):
+        b = basis(*coords)
+        calls.clear()
+        orf, sign = oriented_root_form(b)
+        assert calls == {"_obtuse_root_products": 1}
+        assert (orf, sign) == oriented_root_products(*coords)[1:3]
+
+    @pytest.mark.parametrize("coords", BASES)
+    def test_the_four_call_chain(self, calls, coords):
+        rf = root_form(reduce_to_obtuse(superbase_from_basis(basis(*coords))))
+        assert calls == {"check_basis": 2, "_obtuse_root_products": 2}
+        assert rf == tuple(sorted(oriented_root_products(*coords)[1]))
 
 
 class TestRootForm:

@@ -41,6 +41,7 @@ from rootforms import (
     Basis2,
     DegenerateBasis,
     LatticeSign,
+    ObtuseSuperbase,
     RootForm,
     Vec2,
     oriented_root_form,
@@ -138,6 +139,7 @@ def test_moved_basis_keeps_root_form(pair):
 def test_reduction_returns_obtuse_superbase_of_same_lattice(pair):
     _, moved = pair
     obt = reduce_to_obtuse(superbase_from_basis(moved))
+    assert ObtuseSuperbase(*obt) == obt  # the checks reduce_to_obtuse skips all pass
     assert min(conorms(obt)) >= -NEG_TOL * max(vonorms(obt))
     a_in = np.array([[moved.v1.x, moved.v1.y], [moved.v2.x, moved.v2.y]])
     a_out = np.array([[obt.v1.x, obt.v1.y], [obt.v2.x, obt.v2.y]])

@@ -23,7 +23,7 @@ from rootforms import (
 )
 from rootforms.records import LatticeRecord, format_number, parse_record_line
 
-from helpers import oracle_grid_bytes
+from helpers import LINE_SEPARATORS, oracle_grid_bytes
 
 
 class TestParsing:
@@ -65,6 +65,18 @@ class TestParsing:
             parse_records("ok,ortho3,1,2,3\n" + line + "\n")
         assert err.value.line == 2
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("sep", LINE_SEPARATORS, ids=ascii)
+    def test_lines_end_only_at_newline(self, sep):
+        # "\r\n" counts as one line ending; sep stays inside its line
+        text = f"A,cell2,1,1,90\r\n\r\nr,k{sep}x\nB,ortho3,1,2,3\n"
+        with pytest.raises(ParseError) as err:
+            parse_records(text)
+        assert (err.value.line, err.value.reason) == (3, f"unknown kind {f'k{sep}x'!r}")
+        assert parse_records(text.replace("r,k", "# r,k")) == [
+            LatticeRecord("A", "cell2", (1.0, 1.0, 90.0), 1),
+            LatticeRecord("B", "ortho3", (1.0, 2.0, 3.0), 4),
+        ]
 
 
 # the whitespace a record line may carry around its fields: str.strip and

@@ -8,7 +8,8 @@ each root product of ``oriented_root_form`` must lie within
 exact sign wherever the exact products are clear of the ``SIGN_TOL`` band by
 more than the float error can bridge. The object-based flip-rule reference
 ``helpers.oracle_reduce_to_obtuse`` is held to the same bound wherever it
-stays under its step cap.
+stays under its step cap. The kernel itself has no step cap: its passes grow
+with the logarithm of the skew that entry validation bounds, pinned below.
 """
 
 import math
@@ -18,6 +19,7 @@ import pytest
 
 from helpers import (
     ULP,
+    OracleStepCap,
     apply_unimodular,
     condition_number,
     exact_oriented_roots,
@@ -31,15 +33,15 @@ from rootforms import (
     Basis2,
     DegenerateBasis,
     DegenerateLattice,
-    IterationLimitExceeded,
     LatticeError,
     LatticeSign,
+    ObtuseSuperbase,
     Vec2,
     oriented_root_form,
     reduce_to_obtuse,
     superbase_from_basis,
 )
-from rootforms.lattice import SIGN_TOL, _obtuse_root_products, orient_obtuse
+from rootforms.lattice import DEG_TOL, SIGN_TOL, _obtuse_root_products, orient_obtuse
 
 
 def _scaled(b: Basis2, f: float) -> Basis2:
@@ -103,7 +105,7 @@ FAMILIES = {
     "near_hexagonal": (_near_hexagonal, 200, 200, None),
 }
 
-# Inputs the flip rule could not reduce within MAX_ITER steps.
+# Inputs the flip rule could not reduce within ORACLE_MAX_FLIPS steps.
 FORMER_STEP_CAP_BASES = [
     ((1.0, 0.0), (1001.3, 1.0)),
     ((1.0, 0.0), (2500.3, 1.0)),
@@ -137,9 +139,12 @@ def test_kernel_matches_object_reduction(family):
             continue
         exact = exact_oriented_roots(b)
         _assert_within_kappa_bound(b, *oriented_root_form(b), exact)
+        # built unchecked, the result passes every check its constructor has
+        obt = reduce_to_obtuse(s)
+        assert ObtuseSuperbase(*obt) == obt
         try:
             reference = oracle_reduce_to_obtuse(s)
-        except IterationLimitExceeded:
+        except OracleStepCap:
             pass
         else:
             _assert_within_kappa_bound(b, *orient_obtuse(reference), exact)
@@ -151,22 +156,35 @@ def test_kernel_matches_object_reduction(family):
 def test_former_step_cap_bases_reduce(pair):
     b = Basis2(Vec2(*pair[0]), Vec2(*pair[1]))
     s = superbase_from_basis(b)
-    with pytest.raises(IterationLimitExceeded):
+    with pytest.raises(OracleStepCap):
         oracle_reduce_to_obtuse(s)
     obt = reduce_to_obtuse(s)
     assert obt.reduction_steps <= 10
     _assert_within_kappa_bound(b, *oriented_root_form(b), exact_oriented_roots(b))
 
 
-def test_step_cap_message_matches():
-    b = Basis2(Vec2(*FORMER_STEP_CAP_BASES[2][0]), Vec2(*FORMER_STEP_CAP_BASES[2][1]))
-    s = superbase_from_basis(b)
-    full = reduce_to_obtuse(s)
-    assert full.reduction_steps >= 3
-    for cap in range(1, full.reduction_steps):
-        with pytest.raises(IterationLimitExceeded, match=f"^reduction exceeded {cap} steps$"):
-            reduce_to_obtuse(s, max_iter=cap)
-    assert reduce_to_obtuse(s, max_iter=full.reduction_steps) == full
+def test_passes_stay_logarithmic_up_to_the_degeneracy_limit():
+    # consecutive terms of s[k+1] = a s[k] + s[k-1] give the bases of least
+    # |det| = 1 for their length, which Lagrange-Gauss shortens slowest; every
+    # k that entry validation accepts, up to the first it refuses as degenerate
+    passes = []
+    for a in (1, 2):  # Fibonacci, Pell
+        s = [0, 1]
+        while s[-1] < 1e8:
+            s.append(a * s[-1] + s[-2])
+        for f in (1e-100, 1.0, 1e100):
+            refused = 0
+            for k in range(1, len(s) - 1):
+                try:
+                    b = Basis2(Vec2(s[k + 1] * f, s[k] * f), Vec2(s[k] * f, s[k - 1] * f))
+                except DegenerateBasis:
+                    refused += 1
+                    continue
+                passes.append(reduce_to_obtuse(superbase_from_basis(b)).reduction_steps)
+            assert refused > 0
+    assert len(passes) == 132
+    assert max(passes) <= 3 + math.log2(1.0 / DEG_TOL)
+    assert max(passes) == 16
 
 
 def _listed_root_products(x0, y0, x1, y1, x2, y2):

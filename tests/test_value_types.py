@@ -168,6 +168,17 @@ class TestTupleSemantics:
         assert hash(v) == hash((1.0, 2.0)) and len({v, Vec2(1.0, 2.0)}) == 1
         assert v + w == Vec2(3.0, 2.0) and v - w == Vec2(-1.0, 2.0) and -v == Vec2(-1.0, -2.0)
 
+    def test_vectors_do_not_order_against_plain_tuples(self):
+        # a plain tuple on either side must not lend Vec2 its lexicographic order
+        v, t = Vec2(1.0, 2.0), (2.0, 0.0)
+        for op in (lambda: v < t, lambda: v <= t, lambda: v > t, lambda: v >= t,
+                   lambda: t < v, lambda: t <= v, lambda: t > v, lambda: t >= v,
+                   lambda: sorted([t, v]), lambda: max(t, v)):
+            with pytest.raises(TypeError, match="^Vec2 has no order$"):
+                op()
+        assert v == (1.0, 2.0) and (1.0, 2.0) == v and v != t and t != v
+        assert hash(v) == hash((1.0, 2.0)) and {v, (1.0, 2.0)} == {v}
+
     def test_a_superbase_is_not_an_obtuse_one(self):
         # an ObtuseSuperbase carries its step count, so it never equals a Superbase2
         assert Superbase2(V0, V1, V2) != ObtuseSuperbase(V0, V1, V2)
