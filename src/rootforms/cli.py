@@ -1,20 +1,19 @@
 """Command-line interface.
 
 Subcommands: reduce, rootform, dist, qt, grid, voronoi. rootform, qt and grid
-stream their input in one thread: each line is parsed and reduced, then
-formatted or binned, before the next is read, so grid's memory is O(occupied
-pixels), at most O(res^2), whatever the record count. The first bad line
-aborts the run, or with --lenient is skipped with a warning, so warnings come
-out in line order. grid checks its options before it reads the input;
-rootform and qt write their output at the end, so an aborted run leaves no
-partial file. LATTICE_THREADS is accepted for compatibility and ignored.
-Numbers print with 12 significant digits.
+stream their input in one thread through records.iter_records: each line is
+parsed and reduced, then formatted or binned, before the next is read, so
+grid's memory is O(occupied pixels), at most O(res^2), whatever the record
+count. The first bad line aborts the run, or with --lenient is skipped with a
+warning, so warnings come out in line order. grid checks its options before
+it reads the input; rootform and qt write their output at the end, so an
+aborted run leaves no partial file. LATTICE_THREADS is accepted for
+compatibility and ignored. Numbers print with 12 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import LatticeError
@@ -39,7 +38,7 @@ from .records import (
     basis_coords,
     emit_grid,
     format_number as fmt,
-    parse_record_line,
+    iter_records,
 )
 from .voronoi import voronoi_domain, voronoi_vectors
 
@@ -60,35 +59,16 @@ def _basis_from_flag(text: str) -> Basis2:
 
 
 def _parse_q(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "+inf", "infinity"):
-        return math.inf
     try:
-        return float(t)
+        return float(text)
     except ValueError:
         raise LatticeError(f"--q must be a number >= 1 or 'inf', got {text!r}") from None
 
 
 def _process_records(args):
-    """Yield (id, oriented root products, sign) per record, reading line by line.
-
-    A bad line is skipped with a warning (lenient) or aborts the run.
-    """
+    """Yield (id, oriented root products, sign) per record of the input file."""
     with open(args.input, "r", encoding="utf-8", newline="\n") as fh:
-        for i, line in enumerate(fh, start=1):
-            rec = None
-            try:
-                rec = parse_record_line(line, i)
-                if rec is None:  # blank or comment line
-                    continue
-                row = _record_forms(rec)
-            except ValueError as exc:  # a ParseError, a LatticeError, or a conorm not obtuse
-                msg = str(exc) if rec is None else f"record {rec.id!r} (line {rec.line}): {exc}"
-                if not args.lenient:
-                    raise LatticeError(msg) from exc
-                print(f"warning: skipped {msg}", file=sys.stderr)
-                continue
-            yield row
+        yield from iter_records(fh, _record_forms, args.lenient)
 
 
 def _write_text(path: str | None, text: str) -> None:

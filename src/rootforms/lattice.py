@@ -210,7 +210,7 @@ class ObtuseSuperbase(NamedTuple("ObtuseSuperbase", [("v0", Vec2), ("v1", Vec2),
     """Superbase with all conorms >= 0 (up to tolerance).
 
     reduction_steps counts the Lagrange-Gauss passes that produced it; zero
-    for a superbase that was already obtuse and came back unchanged. It is
+    when (-(v1 + v2), v1, v2) of the input was already obtuse. It is
     the fourth field, so an ObtuseSuperbase unpacks to four values.
     """
 
@@ -361,16 +361,13 @@ def _obtuse_root_products(x0, y0, x1, y1, x2, y2):
 def reduce_to_obtuse(s: Superbase2) -> ObtuseSuperbase:
     """Obtuse superbase of the same lattice, by oriented_root_products on (v1, v2).
 
-    A superbase that needs no pass comes back unchanged; reduction_steps
-    counts the passes. Superbase2 checked s when it was built, and the
-    kernel's result is obtuse by construction, so neither is checked again.
+    The result is the superbase the kernel judged, (-(v1 + v2), v1, v2) when
+    no pass is made; reduction_steps counts the passes. Superbase2 checked s,
+    and the kernel's result is obtuse by construction, so neither is rechecked.
     """
-    (x0, y0, x1, y1, x2, y2), _, _, steps = _oriented_root_products(*s.v1, *s.v2)
-    new = tuple.__new__
-    if steps == 0:
-        return new(ObtuseSuperbase, (s.v0, s.v1, s.v2, 0))
-    v0, v1, v2 = new(Vec2, (x0, y0)), new(Vec2, (x1, y1)), new(Vec2, (x2, y2))
-    return new(ObtuseSuperbase, (v0, v1, v2, steps))
+    xy, _, _, steps = _oriented_root_products(*s.v1, *s.v2)
+    v0, v1, v2 = (tuple.__new__(Vec2, xy[i:i + 2]) for i in (0, 2, 4))
+    return tuple.__new__(ObtuseSuperbase, (v0, v1, v2, steps))
 
 
 def root_form(s: ObtuseSuperbase) -> RootForm:
@@ -379,8 +376,10 @@ def root_form(s: ObtuseSuperbase) -> RootForm:
 
 
 def root_form_from_values(a: float, b: float, c: float) -> RootForm:
-    """Sort and validate an arbitrary nonnegative triple into a RootForm."""
+    """Sort and validate an arbitrary finite nonnegative triple into a RootForm."""
     r = sorted((float(a), float(b), float(c)))
+    if not all(map(math.isfinite, r)):
+        raise ValueError(f"non-finite root product in {tuple(r)}")
     if r[0] < 0.0:
         raise ValueError(f"negative root product {r[0]:g}")
     if r[1] <= 0.0:

@@ -30,7 +30,10 @@ def _check_order(q: float) -> float:
 def _lq(d0: float, d1: float, d2: float, q: float) -> float:
     """L_q norm of a nonnegative triple, summed in a fixed (sorted) order.
 
-    The fixed summation order makes d(a, b) == d(b, a) bit-exact.
+    The fixed summation order makes d(a, b) == d(b, a) bit-exact. For
+    1 < q < inf the largest entry is factored out, so no power over- or
+    underflows: at q = 2 by its power of two, which is exact, and only when
+    a square leaves the normal range.
     """
     if q == math.inf:
         return max(d0, d1, d2)
@@ -38,8 +41,18 @@ def _lq(d0: float, d1: float, d2: float, q: float) -> float:
     if q == 1.0:
         return d0 + d1 + d2
     if q == 2.0:
-        return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-    return (d0**q + d1**q + d2**q) ** (1.0 / q)
+        s = d0 * d0 + d1 * d1 + d2 * d2
+        if 1e-290 < s < math.inf:  # d2 * d2 is normal: scaling would give the same bits
+            return math.sqrt(s)
+        e = math.frexp(d2)[1]
+        d0, d1, d2 = math.ldexp(d0, -e), math.ldexp(d1, -e), math.ldexp(d2, -e)
+        try:
+            return math.ldexp(math.sqrt(d0 * d0 + d1 * d1 + d2 * d2), e)
+        except OverflowError:  # the norm itself is past the float range
+            return math.inf
+    if not 0.0 < d2 < math.inf:  # 0, inf or NaN: nothing to factor out
+        return d2
+    return d2 * ((d0 / d2) ** q + (d1 / d2) ** q + 1.0) ** (1.0 / q)
 
 
 def root_metric(a: Sequence[float], b: Sequence[float], q: float = 2.0) -> float:
@@ -79,8 +92,8 @@ def continuity_bound(l: float, delta: float, q: float = 2.0) -> float:
     vectorwise by at most delta; the factor is 1 at q = +inf.
     """
     q = _check_order(q)
-    if l < 0.0 or delta < 0.0:
-        raise ValueError("l and delta must be nonnegative")
+    if not (0.0 <= l < math.inf and 0.0 <= delta < math.inf):  # False for NaN too
+        raise ValueError("l and delta must be finite and nonnegative")
     factor = 1.0 if q == math.inf else 3.0 ** (1.0 / q)
     return factor * math.sqrt(2.0 * l * delta)
 

@@ -5,7 +5,8 @@ before it is whitespace, and a lone CR, FF or U+2028 stays in its line:
 
     id,kind,param1,param2,...
 
-with ``#`` starting a comment and blank lines ignored. Kinds:
+with ``#`` starting a comment and blank lines ignored; iter_records, the one
+reader of these lines, owns the skip-or-abort rule for bad ones. Kinds:
 
 - ``basis`` (x1, y1, x2, y2): explicit 2D basis vectors.
 - ``cell2`` (a, b, gamma): 2D unit cell, gamma in degrees.
@@ -37,7 +38,7 @@ import sys
 from array import array
 from typing import NamedTuple
 
-from .errors import DegenerateBasis, InvalidGridSpec, ParseError
+from .errors import DegenerateBasis, InvalidGridSpec, LatticeError, ParseError
 from .lattice import Basis2, Vec2
 
 KINDS = {"basis": 4, "cell2": 3, "ortho3": 3, "mono3": 4}
@@ -107,10 +108,32 @@ def _check_angle(angle: float, line: int) -> None:
         raise ParseError(line, f"angle {angle:g} outside (0, 180) degrees")
 
 
+def iter_records(lines, compute=None, lenient=False):
+    """Yield compute(rec), or rec, per record of the lines, numbered from 1.
+
+    A ValueError from compute becomes LatticeError("record 'id' (line n): ...").
+    With lenient, it or a ParseError is warned about on stderr and skipped.
+    """
+    for n, text in enumerate(lines, start=1):
+        try:
+            rec = parse_record_line(text, n)
+            if rec is None:
+                continue
+            try:
+                item = rec if compute is None else compute(rec)
+            except ValueError as exc:  # a LatticeError, or a conorm not obtuse
+                raise LatticeError(f"record {rec.id!r} (line {n}): {exc}") from exc
+        except ValueError as exc:
+            if not lenient:
+                raise
+            print(f"warning: skipped {exc}", file=sys.stderr)
+            continue
+        yield item
+
+
 def parse_records(stream: str) -> list[LatticeRecord]:
     """Parse a whole record file (lines end at LF); raises ParseError on the first bad line."""
-    parsed = (parse_record_line(text, i) for i, text in enumerate(stream.split("\n"), start=1))
-    return [rec for rec in parsed if rec is not None]
+    return list(iter_records(stream.split("\n")))
 
 
 def _cos_sin_deg(angle: float) -> tuple[float, float]:
@@ -159,6 +182,8 @@ class GridSpec(NamedTuple("GridSpec", [("x_min", float), ("x_max", float), ("y_m
     def __new__(cls, x_min: float, x_max: float, y_min: float, y_max: float, resolution: int):
         if not all(math.isfinite(v) for v in (x_min, x_max, y_min, y_max)):
             raise InvalidGridSpec("grid bounds must be finite")
+        if not (math.isfinite(x_max - x_min) and math.isfinite(y_max - y_min)):
+            raise InvalidGridSpec("grid spans x_max - x_min and y_max - y_min must be finite")
         if x_max <= x_min or y_max <= y_min:
             raise InvalidGridSpec("grid bounds must satisfy max > min on both axes")
         # an integer type has __index__; a bool is not a resolution

@@ -280,11 +280,24 @@ class TestDist:
         code, _, err = run(capsys, "dist", "--q", "0.3", "--rf", "0,1,1", "--rf2", "0,1,2")
         assert code == 1
 
+    @pytest.mark.parametrize("q", ["inf", "+inf", "INF", " Infinity ", "+infinity"])
+    def test_q_spellings_of_infinity(self, capsys, q):
+        code, out, _ = run(capsys, "dist", f"--q={q}", "--rf", "0,1,1", "--rf2", "0,1,3")
+        assert (code, out) == (0, "2\n")
+
+    def test_huge_triples_at_q_3(self, capsys):
+        code, out, err = run(capsys, "dist", "--q", "3", "--rf", "0,1e200,1e200", "--rf2", "0,1,1")
+        assert (code, err) == (0, "")
+        assert float(out) == pytest.approx(2 ** (1 / 3) * 1e200, rel=1e-11)
+
     @pytest.mark.parametrize("rf, rf2, message", [
         ("-1,2,3", "0,0,5", "negative root product"),
         ("1,2,3", "0,0,5", "two root products vanish"),
         ("1,2,3", "2,-0.5,1", "negative root product"),
         ("0,1,0", "1,2,3", "two root products vanish"),
+        ("nan,1,2", "1,2,3", "non-finite root product"),
+        ("1,2,3", "1,2,inf", "non-finite root product"),
+        ("1,2,3", "-inf,1,2", "non-finite root product"),
     ])
     def test_invalid_triples_rejected_with_and_without_orientation(
         self, capsys, rf, rf2, message

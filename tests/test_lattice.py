@@ -189,6 +189,14 @@ class TestReduction:
         assert conorms(obt) == (3, 6, 7)
         assert obt.vectors() == s.vectors()
 
+    def test_result_is_the_superbase_the_kernel_judged(self):
+        # v0 is off -(v1 + v2) by 5e-10, within SUM_TOL, and the conorm
+        # -v0 . v1 = -5e-10 is below -NEG_TOL * max vonorm
+        s = Superbase2(Vec2(5e-10, 1), Vec2(1, 0), Vec2(-1, -1))
+        obt = reduce_to_obtuse(s)
+        assert obt.vectors() == ((0, 1), (1, 0), (-1, -1))
+        assert root_form(obt) == RootForm(0, 1, 1)
+
     def test_hexagonal_unchanged(self):
         obt = reduce_to_obtuse(superbase_from_basis(hexagonal_basis()))
         assert obt.reduction_steps == 0

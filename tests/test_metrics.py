@@ -72,6 +72,18 @@ class TestRootMetric:
         with pytest.raises(ValueError):
             root_metric((0, 1, 1), (0, 1, 2), 0.5)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("q", [2.0, 3.0, 2.5])
+    @pytest.mark.parametrize("metric", [root_metric, root_metric_oriented])
+    def test_no_over_or_underflow_at_extreme_scales(self, metric, q, scale):
+        # the powers of the differences leave the float range at these scales,
+        # the distance 2^(1/q) * scale does not
+        a, b = (0.0, scale, scale), (0.0, 2 * scale, 2 * scale)
+        assert metric(a, b, q) == pytest.approx(2 ** (1 / q) * scale, rel=1e-14, abs=0.0)
+        assert metric(b, a, q) == metric(a, b, q)
+        # a distance past the float range is inf, not an OverflowError
+        assert metric((0.0, 1.7e308, 1.7e308), (0.0, 1.0, 1.0), q) == INF
+
 
 class TestOrientedRootMetric:
     @pytest.mark.parametrize("q", [1.0, 2.0, 5.0])
@@ -151,8 +163,9 @@ class TestContinuityBound:
         assert continuity_bound(1.0, 0.5, 1.0) == pytest.approx(3.0, abs=1e-14)
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            continuity_bound(-1.0, 0.1, 2.0)
+        for l, delta in ((-1.0, 0.1), (math.nan, 1.0), (1.0, math.nan), (INF, 0.1), (1.0, INF)):
+            with pytest.raises(ValueError):
+                continuity_bound(l, delta, 2.0)
 
 
 class TestForwardContinuity:

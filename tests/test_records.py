@@ -11,6 +11,7 @@ from rootforms import (
     DensityGrid,
     GridSpec,
     InvalidGridSpec,
+    LatticeError,
     ParseError,
     accumulate_grid,
     emit_grid,
@@ -21,7 +22,7 @@ from rootforms import (
     superbase_from_basis,
     to_quotient_triangle,
 )
-from rootforms.records import LatticeRecord, format_number, parse_record_line
+from rootforms.records import LatticeRecord, format_number, iter_records, parse_record_line
 
 from helpers import LINE_SEPARATORS, oracle_grid_bytes
 
@@ -77,6 +78,37 @@ class TestParsing:
             LatticeRecord("A", "cell2", (1.0, 1.0, 90.0), 1),
             LatticeRecord("B", "ortho3", (1.0, 2.0, 3.0), 4),
         ]
+
+
+class TestIterRecords:
+    LINES = ["# head", "a,cell2,1,1,90", "b,wedge,1", "", "c,ortho3,1,2,3", "d,cell2,2,2,90"]
+
+    @staticmethod
+    def _refuse_c(rec):
+        if rec.id == "c":
+            raise ValueError("refused")
+        return rec.id
+
+    def test_strict_raises_the_parse_error_unchanged(self):
+        with pytest.raises(ParseError) as err:
+            list(iter_records(self.LINES, self._refuse_c))
+        assert (type(err.value), err.value.line) == (ParseError, 3)
+
+    def test_strict_names_the_record_compute_refused(self):
+        with pytest.raises(LatticeError, match=r"^record 'c' \(line 4\): refused$") as err:
+            list(iter_records(self.LINES[:2] + self.LINES[3:], self._refuse_c))
+        assert type(err.value) is LatticeError and isinstance(err.value.__cause__, ValueError)
+
+    def test_lenient_warns_in_line_order_and_skips(self, capsys):
+        assert list(iter_records(self.LINES, self._refuse_c, lenient=True)) == ["a", "d"]
+        assert capsys.readouterr().err == (
+            "warning: skipped line 3: unknown kind 'wedge'\n"
+            "warning: skipped record 'c' (line 5): refused\n"
+        )
+
+    def test_without_compute_yields_numbered_records(self):
+        recs = list(iter_records(self.LINES, lenient=True))
+        assert [(r.id, r.line) for r in recs] == [("a", 2), ("c", 5), ("d", 6)]
 
 
 # the whitespace a record line may carry around its fields: str.strip and
@@ -196,6 +228,8 @@ class TestGrid:
             dict(x_min=0, x_max=1, y_min=2, y_max=1, resolution=2),
             dict(x_min=0, x_max=1, y_min=0, y_max=1, resolution=0),
             dict(x_min=0, x_max=math.inf, y_min=0, y_max=1, resolution=2),
+            dict(x_min=-1e308, x_max=1e308, y_min=0, y_max=1, resolution=2),
+            dict(x_min=0, x_max=1, y_min=-1e308, y_max=1e308, resolution=2),
             dict(x_min=0, x_max=1, y_min=0, y_max=1, resolution=2.0),
             dict(x_min=0, x_max=1, y_min=0, y_max=1, resolution=True),
         ],
