@@ -83,8 +83,8 @@ def _cmd_reduce(args) -> int:
     basis = _basis_from_flag(args.basis)
     obt = reduce_to_obtuse(superbase_from_basis(basis))
     orf, sign = orient_obtuse(obt)
-    p = [max(v, 0.0) for v in conorms(obt)]
-    cells = [obt.v0.x, obt.v0.y, obt.v1.x, obt.v1.y, obt.v2.x, obt.v2.y, *p, *sorted(orf)]
+    cells = [obt.v0.x, obt.v0.y, obt.v1.x, obt.v1.y, obt.v2.x, obt.v2.y, *conorms(obt),
+             *sorted(orf)]
     print("v0x,v0y,v1x,v1y,v2x,v2y,p12,p01,p02,r12,r01,r02,sign,steps")
     print(",".join([*(fmt(c) for c in cells), sign.value, str(obt.reduction_steps)]))
     return 0
@@ -237,6 +237,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:  # unreadable or unwritable files, LatticeError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # e.g. grid --res 20000: the emitted raster takes 2 * res^2 bytes
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 1
 
 

@@ -8,8 +8,8 @@ Conventions
   generating basis is (v1, v2).
 - Conorm triples are always written in the order (p12, p01, p02) where
   p_ij = -v_i . v_j; vonorm triples as (v0^2, v1^2, v2^2).
-- An obtuse superbase has all three conorms >= 0 (up to a scale-relative
-  tolerance; tiny negatives are clamped to zero where square roots are taken).
+- An obtuse superbase has all three conorms >= 0, exactly when the kernel built
+  it; one a caller builds may have conorms a tolerance below 0, counted as 0.
 
 Tolerances are relative to the natural scale of the input (max vonorm or max
 root product); there are no absolute thresholds anywhere.
@@ -36,8 +36,8 @@ from .errors import (
 
 # Relative determinant threshold below which a basis counts as degenerate.
 DEG_TOL = 1e-12
-# Relative factor for "this conorm is genuinely negative" when deciding
-# whether a superbase is obtuse; scaled by its max(vonorms).
+# Relative factor for "this conorm is negative" in a superbase a caller builds,
+# and for "this conorm vanishes"; scaled by its max(vonorms).
 NEG_TOL = 1e-10
 # Relative factor for root-product ties (neutral/achiral detection); scaled
 # by the largest root product.
@@ -301,11 +301,12 @@ def oriented_root_products(x1: float, y1: float, x2: float, y2: float):
     """The float kernel: a basis, checked once by check_basis, to its root form.
 
     The superbase (-(v1 + v2), v1, v2) is kept, with 0 passes, when no
-    conorm is below ``-NEG_TOL * max(vonorms)``. Otherwise (v1, v2) is
+    conorm is negative; no tolerance applies. Otherwise (v1, v2) is
     Lagrange-Gauss reduced to (u1, u2), u2 is negated when u1 . u2 > 0, and
     the superbase is (-(u1 + u2), u1, u2): with |u1 . u2| <= |u1|^2 / 2 <=
     |u2|^2 / 2 and u1 . u2 <= 0 all three conorms are nonnegative (the 2D
-    case of Selling reduction).
+    case of Selling reduction), so the result is exactly obtuse. NEG_TOL
+    judges only superbases that callers build (orient_obtuse).
 
     Returns ((x0, y0, x1, y1, x2, y2), oriented root products, sign, passes)
     as plain floats, the sign as in oriented_root_form.
@@ -317,9 +318,8 @@ def oriented_root_products(x1: float, y1: float, x2: float, y2: float):
 def _oriented_root_products(x1, y1, x2, y2):
     """oriented_root_products of a basis that has passed check_basis."""
     x0, y0 = -(x1 + x2), -(y1 + y2)
-    tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
     passes = 0
-    if x1 * x2 + y1 * y2 > tol or x0 * x1 + y0 * y1 > tol or x0 * x2 + y0 * y2 > tol:
+    if not (x1 * x2 + y1 * y2 <= 0.0 and x0 * x1 + y0 * y1 <= 0.0 and x0 * x2 + y0 * y2 <= 0.0):
         (x1, y1, x2, y2), _, passes = lagrange_gauss(x1, y1, x2, y2)
         if x1 * x2 + y1 * y2 > 0.0:
             x2, y2 = -x2, -y2

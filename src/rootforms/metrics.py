@@ -6,7 +6,8 @@ metric takes the minimum over the three cyclic rotations. The superbase
 distance is the minimax vector alignment over orthogonal maps and superbase
 symmetries; the best rotation angle is solved in closed form.
 
-q is any real >= 1; math.inf selects the max norm.
+q is any real >= 1; math.inf selects the max norm. Root-product entries must
+be finite and nonnegative, else the root metrics raise ValueError.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ def _check_order(q: float) -> float:
 def _lq(d0: float, d1: float, d2: float, q: float) -> float:
     """L_q norm of a nonnegative triple, summed in a fixed (sorted) order.
 
-    The fixed summation order makes d(a, b) == d(b, a) bit-exact. For
-    1 < q < inf the largest entry is factored out, so no power over- or
-    underflows: at q = 2 by its power of two, which is exact, and only when
-    a square leaves the normal range.
+    The fixed summation order makes d(a, b) == d(b, a) bit-exact. At q = 2,
+    math.hypot gives the norm within half an ulp at any scale, and inf past
+    the float range. For other 1 < q < inf the largest entry is factored
+    out, so no power over- or underflows.
     """
     if q == math.inf:
         return max(d0, d1, d2)
@@ -41,17 +42,9 @@ def _lq(d0: float, d1: float, d2: float, q: float) -> float:
     if q == 1.0:
         return d0 + d1 + d2
     if q == 2.0:
-        s = d0 * d0 + d1 * d1 + d2 * d2
-        if 1e-290 < s < math.inf:  # d2 * d2 is normal: scaling would give the same bits
-            return math.sqrt(s)
-        e = math.frexp(d2)[1]
-        d0, d1, d2 = math.ldexp(d0, -e), math.ldexp(d1, -e), math.ldexp(d2, -e)
-        try:
-            return math.ldexp(math.sqrt(d0 * d0 + d1 * d1 + d2 * d2), e)
-        except OverflowError:  # the norm itself is past the float range
-            return math.inf
-    if not 0.0 < d2 < math.inf:  # 0, inf or NaN: nothing to factor out
-        return d2
+        return math.hypot(d0, d1, d2)
+    if d2 == 0.0:  # nothing to factor out; the callers pass finite entries
+        return 0.0
     return d2 * ((d0 / d2) ** q + (d1 / d2) ** q + 1.0) ** (1.0 / q)
 
 
@@ -65,6 +58,8 @@ def root_metric(a: Sequence[float], b: Sequence[float], q: float = 2.0) -> float
     q = _check_order(q)
     a0, a1, a2 = sorted(a)
     b0, b1, b2 = sorted(b)
+    if not (0.0 <= a0 <= a1 <= a2 < math.inf and 0.0 <= b0 <= b1 <= b2 < math.inf):
+        raise ValueError(f"root products must be finite and nonnegative, got {a} and {b}")
     return _lq(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), q)
 
 
@@ -76,7 +71,10 @@ def root_metric_oriented(a: Sequence[float], b: Sequence[float], q: float = 2.0)
     """
     q = _check_order(q)
     a0, a1, a2 = a
-    b = tuple(b)
+    b0, b1, b2 = b = tuple(b)
+    if not (0.0 <= a0 < math.inf and 0.0 <= a1 < math.inf and 0.0 <= a2 < math.inf
+            and 0.0 <= b0 < math.inf and 0.0 <= b1 < math.inf and 0.0 <= b2 < math.inf):
+        raise ValueError(f"root products must be finite and nonnegative, got {a} and {b}")
     best = math.inf
     for i, j, k in _PERMS_A3:
         d = _lq(abs(a0 - b[i]), abs(a1 - b[j]), abs(a2 - b[k]), q)

@@ -136,18 +136,6 @@ def parse_records(stream: str) -> list[LatticeRecord]:
     return list(iter_records(stream.split("\n")))
 
 
-def _cos_sin_deg(angle: float) -> tuple[float, float]:
-    """Cosine and sine of an angle in degrees, exact at quadrant multiples."""
-    rem = math.fmod(angle, 360.0)
-    if rem < 0.0:
-        rem += 360.0
-    exact = {0.0: (1.0, 0.0), 90.0: (0.0, 1.0), 180.0: (-1.0, 0.0), 270.0: (0.0, -1.0)}
-    if rem in exact:
-        return exact[rem]
-    rad = math.radians(angle)
-    return math.cos(rad), math.sin(rad)
-
-
 def basis_coords(rec: LatticeRecord) -> tuple[float, float, float, float]:
     """Unchecked (x1, y1, x2, y2) of a record's 2D basis, by the kind's rule."""
     p = rec.params
@@ -162,8 +150,10 @@ def basis_coords(rec: LatticeRecord) -> tuple[float, float, float, float]:
         a, b, gamma = p[0], p[2], p[3]
     if min(gamma, 180.0 - gamma) < ANGLE_TOL_DEG:
         raise DegenerateBasis(f"cell angle {gamma:g} degrees is degenerate")
-    cos_g, sin_g = _cos_sin_deg(gamma)
-    return a, 0.0, b * cos_g, b * sin_g
+    if gamma == 90.0:  # exactly rectangular: cos(radians(90)) is 6e-17, not 0
+        return a, 0.0, 0.0, b
+    rad = math.radians(gamma)
+    return a, 0.0, b * math.cos(rad), b * math.sin(rad)
 
 
 def project_to_2d(rec: LatticeRecord) -> Basis2:

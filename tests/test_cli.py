@@ -317,6 +317,20 @@ class TestDist:
         assert run(capsys, *argv)[1] == "0\n"
 
 
+class TestDistArgumentErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (("--q", "2", "--rf", "1,2", "--rf2", "1,2,3"),
+         "--rf needs 3 comma-separated numbers, got 2"),
+        (("--q", "2", "--rf", "1,x,3", "--rf2", "1,2,3"),
+         "--rf: non-numeric value in '1,x,3'"),
+        (("--q", "two", "--rf", "1,2,3", "--rf2", "1,2,3"),
+         "--q must be a number >= 1 or 'inf', got 'two'"),
+        (("--q", "2"), "provide --rf/--rf2 or --basis/--basis2"),
+    ])
+    def test_reported_as_one_error_line(self, capsys, argv, message):
+        assert run(capsys, "dist", *argv) == (1, "", f"error: {message}\n")
+
+
 class TestQt:
     def test_square_and_hexagonal_anchors(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -562,6 +576,16 @@ class TestStreaming:
         code, _, err = run(capsys, *_file_command("grid", src, tmp_path / "out"), "--res", "0")
         assert code == 1
         assert err == "error: resolution must be a positive integer, got 0\n"
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def emit_grid(grid, fmt):
+            raise MemoryError
+
+        monkeypatch.setattr("rootforms.cli.emit_grid", emit_grid)
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS)
+        code, out, err = run(capsys, *_file_command("grid", src, tmp_path / "out"))
+        assert (code, out, err) == (1, "", "error: out of memory in grid\n")
 
     def test_grid_peak_memory_does_not_grow_with_the_record_count(self, tmp_path, capsys):
         # each record is binned as it is read, so only the res^2 counts stay

@@ -72,6 +72,14 @@ class TestRootMetric:
         with pytest.raises(ValueError):
             root_metric((0, 1, 1), (0, 1, 2), 0.5)
 
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0, 2.0), (1.0, -5.0, 2.0), (1.0, 2.0, INF)])
+    @pytest.mark.parametrize("q", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("metric", [root_metric, root_metric_oriented])
+    def test_invalid_entries_rejected(self, metric, bad, q):
+        for a, b in ((bad, (1.0, 2.0, 3.0)), ((1.0, 2.0, 3.0), bad)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                metric(a, b, q)
+
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     @pytest.mark.parametrize("q", [2.0, 3.0, 2.5])
     @pytest.mark.parametrize("metric", [root_metric, root_metric_oriented])

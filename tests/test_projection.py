@@ -54,6 +54,10 @@ class TestQuotientTriangle:
         pt = to_quotient_triangle(RootForm(0.0, 2.0, 2.0))
         assert (pt.x, pt.y) == (0.0, 0.0)
 
+    def test_zero_sum_rejected(self):
+        with pytest.raises(DegenerateLattice, match="root products sum to zero"):
+            to_quotient_triangle(RootForm(0.0, 0.0, 0.0))
+
     def test_hexagonal_apex(self):
         c = 1 / math.sqrt(2)
         pt = to_quotient_triangle(RootForm(c, c, c))

@@ -8,12 +8,9 @@ obtuse superbase of the same lattice.
 
 The bound is on squared root products, i.e. conorms, not on the products:
 a conorm error e moves a small root product r by up to e / r, or sqrt(e)
-when r is near zero, which no bound linear in kappa * max r covers. And a
-superbase whose smallest conorm a^2 lies in the NEG_TOL band is accepted as
-obtuse unchanged (its tiny negative conorm clamped to 0), which moves every
-conorm by up to 2 a^2. ``test_reduction_kernel`` holds the seeded families,
-whose products stay clear of both effects, to the tighter bound on the
-products themselves.
+when r is near zero, which no bound linear in kappa * max r covers.
+``test_reduction_kernel`` holds the seeded families, whose products stay
+clear of that effect, to the tighter bound on the products themselves.
 
 The second half checks the invariants on drawn root-product triples:
 ``reconstruct_superbase`` round-trips through ``oriented_root_form`` with
@@ -58,11 +55,7 @@ from rootforms.lattice import NEG_TOL, conorms, vonorms
 
 def _conorm_slack(exact, kappa: float) -> float:
     """Allowed |got^2 - want^2| for the root products of a basis."""
-    a, _, big = sorted(exact)
-    slack = 8.0 * ULP * kappa * big * big
-    if a * a <= 2.1 * NEG_TOL * big * big + slack:
-        slack += 2.0 * a * a + 2.1 * NEG_TOL * big * big
-    return slack
+    return 8.0 * ULP * kappa * max(exact) ** 2
 
 
 def _root_error(exact, slack: float) -> float:
@@ -117,17 +110,16 @@ def test_moved_basis_keeps_root_form(pair):
     slack = _conorm_slack(exact, condition_number(moved))
     for got, want in zip(sorted(orf), sorted(exact)):
         assert abs(got * got - want * want) <= slack
-    a, _, big = sorted(exact)
-    if a * a > 2.1 * NEG_TOL * big * big + slack:
-        err = _root_error(exact, slack)
-        exact_sign = exact_sign_outside_band(exact, err)
-        if exact_sign is not None:
-            assert sign is exact_sign
-            if sign is not LatticeSign.NEUTRAL:
-                assert all(abs(g - w) <= err for g, w in zip(orf, exact))
+    err = _root_error(exact, slack)
+    exact_sign = exact_sign_outside_band(exact, err)
+    if exact_sign is not None:
+        assert sign is exact_sign
+        if sign is not LatticeSign.NEUTRAL:
+            assert all(abs(g - w) <= err for g, w in zip(orf, exact))
     original = sorted(oriented_root_form(b)[0])
     slack += _conorm_slack(exact_oriented_roots(b), condition_number(b))
     # the rotation rounds the coordinates, which moves the lattice itself
+    big = max(exact)
     slack += 8.0 * ULP * condition_number(moved) * big * big
     for got, want in zip(sorted(orf), original):
         assert abs(got * got - want * want) <= slack

@@ -37,8 +37,10 @@ from rootforms import (
     LatticeSign,
     ObtuseSuperbase,
     Vec2,
+    conorms,
     oriented_root_form,
     reduce_to_obtuse,
+    root_metric,
     superbase_from_basis,
 )
 from rootforms.lattice import DEG_TOL, SIGN_TOL, _obtuse_root_products, orient_obtuse
@@ -243,3 +245,33 @@ def test_unrolled_root_products_match_the_listed_reference():
 def test_two_vanishing_conorms_message():
     with pytest.raises(DegenerateLattice, match=r"^two conorms vanish: \(-0\.0, 1\.0, -0\.0\)$"):
         _obtuse_root_products(-1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
+def test_kernel_superbases_of_near_rectangles_are_exactly_obtuse():
+    # rotated rectangles sheared by +-eps: for eps > 0 the conorm p12 starts
+    # at -eps * a^2, which the kernel must reduce away, not keep
+    rng = make_rng(9300)
+    for _ in range(400):
+        a, b = rng.uniform(0.5, 2.0, size=2)
+        eps = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -9.0)
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        v1, v2 = Vec2(a, 0.0).rotated(t), Vec2(eps * a, b).rotated(t)
+        assert min(conorms(reduce_to_obtuse(superbase_from_basis(Basis2(v1, v2))))) >= 0.0
+
+
+def test_a_tiny_negative_conorm_is_reduced_not_clamped():
+    # p12 = -(v1 . v2) = -1.16e-27: the superbase is one flip from the exact
+    # obtuse one, whose smallest root product is sqrt(1.16e-27), not 0
+    orf, _ = oriented_root_form(Basis2(Vec2(-1.0, 0.0), Vec2(-1.16e-27, 1.0)))
+    want = math.sqrt(1.16e-27)
+    assert abs(min(orf) - want) <= 4.0 * math.ulp(want)
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-11])
+def test_mirror_images_of_a_near_rectangle_get_the_same_root_form(eps):
+    (plus, s_plus), (minus, s_minus) = (
+        oriented_root_form(Basis2(Vec2(2.0, 0.0), Vec2(e * 3.0, 3.0))) for e in (eps, -eps)
+    )
+    assert sorted(plus) == sorted(minus)
+    assert {s_plus, s_minus} == {LatticeSign.POSITIVE, LatticeSign.NEGATIVE}
+    assert root_metric(plus, minus, math.inf) == 0.0
