@@ -6,9 +6,10 @@ parsed and reduced, then formatted or binned, before the next is read, so
 grid's memory is O(occupied pixels), at most O(res^2), whatever the record
 count. The first bad line aborts the run, or with --lenient is skipped with a
 warning, so warnings come out in line order. grid checks its options before
-it reads the input; rootform and qt write their output at the end, so an
-aborted run leaves no partial file. LATTICE_THREADS is accepted for
-compatibility and ignored. Numbers print with 12 significant digits.
+it reads the input; rootform and qt write their output at the end, and grid
+builds each file's bytes before it opens that file, so an aborted run leaves
+no partial file. LATTICE_THREADS is accepted for compatibility and ignored.
+Numbers print with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -154,11 +155,11 @@ def _cmd_grid(args) -> int:
     else:
         points = (qt_coords(*sorted(orf)) for _, orf, _ in rows)
     grid = accumulate_grid(points, spec)
-    with open(args.output, "wb") as fh:
-        fh.write(emit_grid(grid, "csv"))
-    if args.pgm:
-        with open(args.pgm, "wb") as fh:
-            fh.write(emit_grid(grid, "pgm"))
+    for path, kind in [(args.output, "csv")] + ([(args.pgm, "pgm")] if args.pgm else []):
+        data = emit_grid(grid, kind)  # before its file is opened: a failed emit writes nothing
+        with open(path, "wb") as fh:
+            fh.write(data)
+        del data  # one payload alive at a time
     return 0
 
 

@@ -229,6 +229,56 @@ def condition_number(b: Basis2) -> float:
     return max(b.v1.norm_sq(), b.v2.norm_sq()) / abs(b.det)
 
 
+# Reference root metrics: the form rootforms.metrics had before each call ran
+# in one frame, with _check_order, sorted() and one _lq call per difference
+# triple. The one-frame metrics must return the same bits.
+_REF_PERMS_A3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def reference_check_order(q: float) -> float:
+    q = float(q)
+    if math.isnan(q) or q < 1.0:
+        raise ValueError(f"Minkowski order must be >= 1, got {q}")
+    return q
+
+
+def _reference_lq(d0: float, d1: float, d2: float, q: float) -> float:
+    if q == math.inf:
+        return max(d0, d1, d2)
+    d0, d1, d2 = sorted((d0, d1, d2))
+    if q == 1.0:
+        return d0 + d1 + d2
+    if q == 2.0:
+        return math.hypot(d0, d1, d2)
+    if d2 == 0.0:
+        return 0.0
+    return d2 * ((d0 / d2) ** q + (d1 / d2) ** q + 1.0) ** (1.0 / q)
+
+
+def reference_root_metric(a, b, q: float = 2.0) -> float:
+    q = reference_check_order(q)
+    a0, a1, a2 = sorted(a)
+    b0, b1, b2 = sorted(b)
+    if not (0.0 <= a0 <= a1 <= a2 < math.inf and 0.0 <= b0 <= b1 <= b2 < math.inf):
+        raise ValueError(f"root products must be finite and nonnegative, got {a} and {b}")
+    return _reference_lq(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), q)
+
+
+def reference_root_metric_oriented(a, b, q: float = 2.0) -> float:
+    q = reference_check_order(q)
+    a0, a1, a2 = a
+    b0, b1, b2 = b = tuple(b)
+    if not (0.0 <= a0 < math.inf and 0.0 <= a1 < math.inf and 0.0 <= a2 < math.inf
+            and 0.0 <= b0 < math.inf and 0.0 <= b1 < math.inf and 0.0 <= b2 < math.inf):
+        raise ValueError(f"root products must be finite and nonnegative, got {a} and {b}")
+    best = math.inf
+    for i, j, k in _REF_PERMS_A3:
+        d = _reference_lq(abs(a0 - b[i]), abs(a1 - b[j]), abs(a2 - b[k]), q)
+        if d < best:
+            best = d
+    return best
+
+
 # Reference alignment for rootforms.metrics.superbase_distance_linf: the
 # original sampled search, an angle grid refined by golden-section search.
 # Its result is an upper bound on the true minimum; the closed form must

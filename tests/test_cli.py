@@ -23,7 +23,7 @@ from rootforms import (
     to_quotient_triangle_oriented,
 )
 from rootforms.cli import main
-from rootforms.records import format_number
+from rootforms.records import emit_grid as records_emit_grid, format_number
 
 SQ6, SQ7 = math.sqrt(6), math.sqrt(7)
 
@@ -584,8 +584,55 @@ class TestStreaming:
         monkeypatch.setattr("rootforms.cli.emit_grid", emit_grid)
         src = tmp_path / "in.csv"
         src.write_text(RECORDS)
-        code, out, err = run(capsys, *_file_command("grid", src, tmp_path / "out"))
+        dst = tmp_path / "out"
+        pgm = tmp_path / "out.pgm"
+        code, out, err = run(capsys, *_file_command("grid", src, dst))
         assert (code, out, err) == (1, "", "error: out of memory in grid\n")
+        # a failed emit creates no file ...
+        assert not dst.exists() and not pgm.exists()
+        # ... and leaves the bytes of existing ones as they were
+        dst.write_bytes(b"old csv\n")
+        pgm.write_bytes(b"old pgm\n")
+        code, out, err = run(capsys, *_file_command("grid", src, dst))
+        assert (code, out, err) == (1, "", "error: out of memory in grid\n")
+        assert (dst.read_bytes(), pgm.read_bytes()) == (b"old csv\n", b"old pgm\n")
+
+    def test_failed_pgm_emit_keeps_the_old_pgm(self, tmp_path, capsys, monkeypatch):
+        def emit_grid(grid, fmt):
+            if fmt == "pgm":
+                raise MemoryError
+            return records_emit_grid(grid, fmt)
+
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS)
+        dst = tmp_path / "out"
+        pgm = tmp_path / "out.pgm"
+        assert run(capsys, *_file_command("grid", src, dst))[0] == 0
+        want_csv = dst.read_bytes()
+        dst.unlink()
+        pgm.write_bytes(b"old pgm\n")
+        monkeypatch.setattr("rootforms.cli.emit_grid", emit_grid)
+        code, out, err = run(capsys, *_file_command("grid", src, dst))
+        assert (code, out, err) == (1, "", "error: out of memory in grid\n")
+        assert (dst.read_bytes(), pgm.read_bytes()) == (want_csv, b"old pgm\n")
+
+    def test_grid_holds_one_output_at_a_time(self, tmp_path, capsys):
+        # the CSV's bytes are freed before the PGM's are built, so asking for
+        # the PGM too does not raise the peak, which the CSV emit sets
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS)
+        argv = ["grid", "-i", str(src), "-o", str(tmp_path / "g.csv"), "--res", "400"]
+        peaks = []
+        for extra in ([], ["--pgm", str(tmp_path / "g.pgm")]):
+            assert main(argv + extra) == 0  # warm-up
+            tracemalloc.start()
+            try:
+                assert main(argv + extra) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr() == ("", "")
+        assert peaks[1] < peaks[0] + (tmp_path / "g.csv").stat().st_size / 4
 
     def test_grid_peak_memory_does_not_grow_with_the_record_count(self, tmp_path, capsys):
         # each record is binned as it is read, so only the res^2 counts stay

@@ -1,7 +1,10 @@
 """Root metrics, superbase alignment distance, continuity bounds."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -11,6 +14,9 @@ from helpers import (
     random_obtuse_superbase,
     random_oriented_form,
     random_root_form,
+    reference_check_order,
+    reference_root_metric,
+    reference_root_metric_oriented,
 )
 from rootforms import (
     LatticeSign,
@@ -157,6 +163,128 @@ class TestMetricAxioms:
             for q in (1.0, 2.0, INF):
                 if dist(a, b, q) == 0.0:
                     assert max(abs(x - y) for x, y in zip(sorted(a), sorted(b))) < 1e-12
+
+
+def _same_bits(x, y):
+    """Equal value, sign of zero and type."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y) and type(x) is type(y)
+
+
+def _metric_pairs(rng, n):
+    """Seeded triple pairs at scales 1e-300 to 1e+300, with zero and tied
+    entries, permuted copies, -0.0 and numpy.float64 entries mixed in."""
+    for i in range(n):
+        sa, sb = 10.0 ** rng.uniform(-300, 300, 2)
+        if i % 2:
+            sb = sa  # same scale, so the differences are not all one entry
+        a, b = list(rng.uniform(0.0, 1.0, 3) * sa), list(rng.uniform(0.0, 1.0, 3) * sb)
+        kind = i % 8
+        if kind == 1:
+            a[rng.integers(3)] = 0.0
+            b[rng.integers(3)] = -0.0
+        elif kind == 2:
+            a[1] = a[2]
+            b[0] = b[1] = b[2]
+        elif kind == 3:
+            b = [a[j] for j in rng.permutation(3)]
+        elif kind == 4:
+            b = list(a)
+            b[rng.integers(3)] = a[rng.integers(3)]
+        elif kind == 5:
+            a = [0.0, 0.0, 0.0]
+        elif kind == 6:
+            a = [np.float64(x) for x in a]
+        elif kind == 7:
+            a, b = np.array(a), np.array(b)
+        yield a, b
+
+
+METRICS = [(root_metric, reference_root_metric),
+           (root_metric_oriented, reference_root_metric_oriented)]
+
+
+class TestOneFrameRootMetrics:
+    """The one-frame root metrics return the bits of the former sorted()/_lq form."""
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, INF])
+    @pytest.mark.parametrize("metric,reference", METRICS, ids=["plain", "oriented"])
+    def test_bit_identical_to_the_sorted_lq_form(self, metric, reference, q):
+        for a, b in _metric_pairs(make_rng(20261019), 3000):
+            for x, y in ((a, b), (b, a)):
+                got, want = metric(x, y, q), reference(x, y, q)
+                assert _same_bits(got, want), (x, y, q, got, want)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, INF])
+    @pytest.mark.parametrize("metric", [root_metric, root_metric_oriented])
+    def test_symmetry_is_bit_exact(self, metric, q):
+        for a, b in _metric_pairs(make_rng(20261020), 3000):
+            assert _same_bits(metric(a, b, q), metric(b, a, q)), (a, b, q)
+
+    @pytest.mark.parametrize("container", [list, tuple, np.array, RootForm._make],
+                             ids=["list", "tuple", "ndarray", "RootForm"])
+    @pytest.mark.parametrize("metric,reference", METRICS, ids=["plain", "oriented"])
+    def test_entry_errors_keep_their_message(self, metric, reference, container):
+        good = (1.0, 2.0, 3.0)
+        for bad in ((math.nan, 1.0, 2.0), (1.0, -5.0, 2.0), (1.0, 2.0, INF), (-0.5, INF, math.nan)):
+            for a, b in ((bad, good), (good, bad)):
+                a, b = container(a), container(b)
+                assert _raised(metric, a, b, 2.0) == _raised(reference, a, b, 2.0)
+        # the oriented metric shows a b given as an iterator as the tuple it read
+        want = _raised(reference_root_metric_oriented, good, iter((1.0, math.nan, 2.0)))
+        assert _raised(root_metric_oriented, good, iter((1.0, math.nan, 2.0))) == want
+        assert want[1].endswith("got (1.0, 2.0, 3.0) and (1.0, nan, 2.0)")
+
+    def test_draws_reach_every_case(self):
+        pairs = list(_metric_pairs(make_rng(20261019), 3000))
+        entries = [v for a, b in pairs for v in (*a, *b)]
+        assert any(v == 0.0 and math.copysign(1.0, v) < 0 for v in entries)
+        assert any(type(v) is np.float64 for v in entries)
+        assert any(len(set(a)) < 3 for a, _ in pairs)
+        assert min(v for v in entries if v > 0.0) < 1e-290
+        assert max(entries) > 1e290
+
+
+# Orders the former _check_order accepted, in every type float() takes.
+ACCEPTED_ORDERS = [1, 2, 3, True, 1.0, 2.0, 1.5, INF, np.int64(2), np.float64(2.0),
+                   np.float64(1.5), np.float64(INF), np.float32(2.5), "2", " inf ",
+                   "1e0", "Infinity", "3.0", Fraction(3, 2), Decimal("2.5")]
+REJECTED_ORDERS = [math.nan, np.float64(math.nan), "nan", 0.999, 0, 0.0, -0.0, -1, False,
+                   -INF, "-inf", np.float64(0.5), Fraction(1, 2)]
+NOT_ORDERS = ["two", "", None, (2.0,), [2.0], "2,0"]
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestOrderCheck:
+    """The inline order check keeps the contract of the former _check_order."""
+
+    A, B = (0.3, 1.1, 2.2), (0.2, 1.4, 1.9)
+
+    @pytest.mark.parametrize("q", ACCEPTED_ORDERS, ids=repr)
+    @pytest.mark.parametrize("metric,reference", METRICS, ids=["plain", "oriented"])
+    def test_accepted_orders_give_the_former_result(self, metric, reference, q):
+        assert _same_bits(metric(self.A, self.B, q), reference(self.A, self.B, q))
+
+    @pytest.mark.parametrize("q", REJECTED_ORDERS + NOT_ORDERS, ids=repr)
+    @pytest.mark.parametrize("metric,reference", METRICS, ids=["plain", "oriented"])
+    def test_rejected_orders_raise_the_former_error(self, metric, reference, q):
+        want = _raised(reference_check_order, q)
+        assert _raised(metric, self.A, self.B, q) == want
+        # the order is checked before the entries
+        assert _raised(metric, (math.nan, 1.0, 2.0), self.B, q) == want
+
+    @pytest.mark.parametrize("q", ACCEPTED_ORDERS, ids=repr)
+    def test_continuity_bound_accepts_the_same_orders(self, q):
+        want = continuity_bound(2.0, 0.01, reference_check_order(q))
+        assert _same_bits(continuity_bound(2.0, 0.01, q), want)
+
+    @pytest.mark.parametrize("q", REJECTED_ORDERS + NOT_ORDERS, ids=repr)
+    def test_continuity_bound_rejects_the_same_orders(self, q):
+        assert _raised(continuity_bound, 2.0, 0.01, q) == _raised(reference_check_order, q)
 
 
 class TestContinuityBound:
