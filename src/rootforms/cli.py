@@ -8,8 +8,10 @@ count. The first bad line aborts the run, or with --lenient is skipped with a
 warning, so warnings come out in line order. grid checks its options before
 it reads the input; rootform and qt write their output at the end, and grid
 builds each file's bytes before it opens that file, so an aborted run leaves
-no partial file. LATTICE_THREADS is accepted for compatibility and ignored.
-Numbers print with 12 significant digits.
+no partial file; -o files are UTF-8, as the input is. LATTICE_THREADS is
+accepted for compatibility and ignored. Numbers print with 12 significant
+digits. A start imports only the modules its subcommand runs and adds only
+that subcommand's arguments to the parser.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .lattice import (
     root_form_from_values,
     superbase_from_basis,
 )
-from .metrics import root_metric, root_metric_oriented
-from .projection import qt_coords
 from .records import (
     GridSpec,
     LatticeRecord,
@@ -41,7 +41,6 @@ from .records import (
     format_number as fmt,
     iter_records,
 )
-from .voronoi import voronoi_domain, voronoi_vectors
 
 
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -76,7 +75,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
@@ -107,6 +106,8 @@ def _cmd_rootform(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    from .metrics import root_metric, root_metric_oriented
+
     q = _parse_q(args.q)
     if (args.rf is None) != (args.rf2 is None) or (args.basis is None) != (args.basis2 is None):
         raise LatticeError("provide both --rf and --rf2, or both --basis and --basis2")
@@ -129,6 +130,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_qt(args) -> int:
+    from .projection import qt_coords
+
     lines = ["id,x,y"]
     for rec_id, orf, sign in _process_records(args):
         x, y = qt_coords(*sorted(orf))
@@ -146,6 +149,8 @@ _GRID_DEFAULTS = {
 
 
 def _cmd_grid(args) -> int:
+    from .projection import qt_coords
+
     given = (args.xmin, args.xmax, args.ymin, args.ymax)
     bounds = (d if v is None else v for v, d in zip(given, _GRID_DEFAULTS[args.mode]))
     spec = GridSpec(*bounds, args.res)
@@ -164,6 +169,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_voronoi(args) -> int:
+    from .voronoi import voronoi_domain, voronoi_vectors
+
     basis = _basis_from_flag(args.basis)
     vvs = voronoi_vectors(basis)
     poly = voronoi_domain(basis)
@@ -176,64 +183,75 @@ def _cmd_voronoi(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every subcommand is registered, but when ``command``
+    names one, only it gets its arguments; help, an unknown command or an
+    empty argv get those of all six."""
     parser = argparse.ArgumentParser(
         prog="rootforms",
         description="Isometry invariants, metrics and density maps of 2D lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in ("reduce", "rootform", "dist", "qt", "grid", "voronoi")
 
     p = sub.add_parser("reduce", help="obtuse superbase, conorms, root form of one basis")
-    p.add_argument("--basis", required=True, metavar="X1,Y1,X2,Y2")
     p.set_defaults(func=_cmd_reduce)
+    if every or command == "reduce":
+        p.add_argument("--basis", required=True, metavar="X1,Y1,X2,Y2")
 
     p = sub.add_parser("rootform", help="root forms of a record file")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", default=None, help="output CSV (default stdout)")
-    p.add_argument("--oriented", action="store_true",
-                   help="emit the cyclic-canonical oriented triple")
-    p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=_cmd_rootform)
+    if every or command == "rootform":
+        p.add_argument("-i", "--input", required=True)
+        p.add_argument("-o", "--output", default=None, help="output CSV (default stdout)")
+        p.add_argument("--oriented", action="store_true",
+                       help="emit the cyclic-canonical oriented triple")
+        p.add_argument("--lenient", action="store_true")
 
     p = sub.add_parser("dist", help="root metric between two lattices")
-    p.add_argument("--q", required=True, help="Minkowski order (>= 1 or 'inf')")
-    p.add_argument("--rf", metavar="A12,A01,A02")
-    p.add_argument("--rf2", metavar="B12,B01,B02")
-    p.add_argument("--basis", metavar="X1,Y1,X2,Y2")
-    p.add_argument("--basis2", metavar="X1,Y1,X2,Y2")
-    p.add_argument("--oriented", action="store_true")
     p.set_defaults(func=_cmd_dist)
+    if every or command == "dist":
+        p.add_argument("--q", required=True, help="Minkowski order (>= 1 or 'inf')")
+        p.add_argument("--rf", metavar="A12,A01,A02")
+        p.add_argument("--rf2", metavar="B12,B01,B02")
+        p.add_argument("--basis", metavar="X1,Y1,X2,Y2")
+        p.add_argument("--basis2", metavar="X1,Y1,X2,Y2")
+        p.add_argument("--oriented", action="store_true")
 
     p = sub.add_parser("qt", help="quotient-triangle coordinates of a record file")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--signed", action="store_true",
-                   help="negate x for negative (mirror) lattices")
-    p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=_cmd_qt)
+    if every or command == "qt":
+        p.add_argument("-i", "--input", required=True)
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--signed", action="store_true",
+                       help="negate x for negative (mirror) lattices")
+        p.add_argument("--lenient", action="store_true")
 
     p = sub.add_parser("grid", help="density grid over root pairs or QT points")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True, help="output CSV path")
-    p.add_argument("--pgm", default=None, help="also write a binary PGM image")
-    p.add_argument("--xmin", type=float, default=None)
-    p.add_argument("--xmax", type=float, default=None)
-    p.add_argument("--ymin", type=float, default=None)
-    p.add_argument("--ymax", type=float, default=None)
-    p.add_argument("--res", type=int, default=200)
-    p.add_argument("--mode", choices=("rootpair", "qt"), default="rootpair")
-    p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=_cmd_grid)
+    if every or command == "grid":
+        p.add_argument("-i", "--input", required=True)
+        p.add_argument("-o", "--output", required=True, help="output CSV path")
+        p.add_argument("--pgm", default=None, help="also write a binary PGM image")
+        p.add_argument("--xmin", type=float, default=None)
+        p.add_argument("--xmax", type=float, default=None)
+        p.add_argument("--ymin", type=float, default=None)
+        p.add_argument("--ymax", type=float, default=None)
+        p.add_argument("--res", type=int, default=200)
+        p.add_argument("--mode", choices=("rootpair", "qt"), default="rootpair")
+        p.add_argument("--lenient", action="store_true")
 
     p = sub.add_parser("voronoi", help="Voronoi vectors and domain of one basis")
-    p.add_argument("--basis", required=True, metavar="X1,Y1,X2,Y2")
     p.set_defaults(func=_cmd_voronoi)
+    if every or command == "voronoi":
+        p.add_argument("--basis", required=True, metavar="X1,Y1,X2,Y2")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # unreadable or unwritable files, LatticeError

@@ -21,8 +21,6 @@ named-tuple helpers _make and _replace, and nothing checks them again: not
 Vec2 arithmetic, oriented_root_form, or reduce_to_obtuse and its result.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import NamedTuple

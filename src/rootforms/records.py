@@ -30,12 +30,9 @@ also unpack, index and compare equal to plain tuples; GridSpec checks its
 bounds and resolution when constructed, and in _make and _replace.
 """
 
-from __future__ import annotations
-
 import io
 import math
 import sys
-from array import array
 from typing import NamedTuple
 
 from .errors import DegenerateBasis, InvalidGridSpec, LatticeError, ParseError
@@ -263,9 +260,12 @@ def _emit_pgm(grid: DensityGrid) -> bytes:
     max_count = max(grid.counts.values(), default=0)
     maxval = min(65535, max(max_count, 1))
     scale = maxval / max_count if max_count > maxval else None  # round() takes ties to even
-    image = bytearray(res * res) if maxval <= 255 else array("H", bytes(2 * res * res))
+    image = bytearray(res * res if maxval <= 255 else 2 * res * res)
     for k, c in grid.counts.items():
-        image[k] = c if scale is None else round(c * scale)
-    if maxval > 255 and sys.byteorder == "little":
-        image.byteswap()  # PGM stores 16-bit samples big-endian
-    return f"P5\n{res} {res}\n{maxval}\n".encode("ascii") + bytes(image)
+        if maxval <= 255:
+            image[k] = c
+        else:  # PGM stores 16-bit samples big-endian
+            v = c if scale is None else round(c * scale)
+            image[2 * k] = v >> 8
+            image[2 * k + 1] = v & 255
+    return f"P5\n{res} {res}\n{maxval}\n".encode("ascii") + image

@@ -22,6 +22,7 @@ from rootforms import (
     project_to_2d,
     to_quotient_triangle_oriented,
 )
+from rootforms import cli
 from rootforms.cli import main
 from rootforms.records import emit_grid as records_emit_grid, format_number
 
@@ -493,6 +494,207 @@ class TestStartup:
                             forms.stdout, forms.stderr))
         assert all(out == outputs[0] for out in outputs)
         assert b"skipped record 'bad'" in outputs[0][4]
+
+    # a start imports only the modules of the subcommand it runs
+    @pytest.mark.parametrize("argv, loads, leaves", [
+        (["rootform", "-i", "F", "-o", "G"], (),
+         ("rootforms.voronoi", "rootforms.metrics", "rootforms.projection", "array")),
+        (["qt", "-i", "F", "-o", "G"], ("rootforms.projection",),
+         ("rootforms.voronoi", "rootforms.metrics")),
+        (["grid", "-i", "F", "-o", "G", "--pgm", "G.pgm", "--res", "16"],
+         ("rootforms.projection",), ("rootforms.voronoi", "rootforms.metrics")),
+        (["dist", "--q", "2", "--rf", "1,2,3", "--rf2", "1,2,4"], ("rootforms.metrics",),
+         ("rootforms.voronoi", "rootforms.projection")),
+        (["voronoi", "--basis", "1,0,0,1"], ("rootforms.voronoi",),
+         ("rootforms.metrics", "rootforms.projection")),
+    ])
+    def test_a_subcommand_imports_only_its_own_modules(self, tmp_path, argv, loads, leaves):
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS)
+        argv = [str(src) if a == "F" else str(tmp_path / a) if a.startswith("G") else a
+                for a in argv]
+        watched = loads + leaves
+        probe = (
+            "import runpy, sys\n"
+            f"sys.argv = ['rootforms', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('rootforms', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n"
+            f"print(*(m for m in {watched!r} if m in sys.modules))\n"
+        )
+        bare = f"import sys; print(*(m for m in {watched!r} if m in sys.modules))"
+        loaded = []
+        for code in (bare, probe):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            loaded.append(proc.stdout.splitlines())
+        assert loaded[1][-2] == "0", loaded[1]
+        # a module that the bare interpreter's site hooks load already is not the package's
+        assert set(loaded[1][-1].split()) - set(loaded[0][-1].split()) == set(loads)
+
+    def test_import_loads_no_submodule(self):
+        probe = "import sys, rootforms; print(sorted(m for m in sys.modules if 'rootforms.' in m))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+# The public names of the package, by the submodule that defines them, as the
+# package listed them when its __init__ imported every submodule up front.
+PUBLIC = {
+    "errors": ("DegenerateBasis", "DegenerateLattice", "InvalidGridSpec", "LatticeError",
+               "NegativeConorm", "ParseError"),
+    "lattice": ("Basis2", "ConormTriple", "LatticeSign", "ObtuseSuperbase", "OrientedRootForm",
+                "RootForm", "Superbase2", "Vec2", "VonormTriple", "conorms",
+                "conorms_from_vonorms", "oriented_root_form", "reduce_to_obtuse", "root_form",
+                "root_form_from_values", "squared_norm_from_conorms", "superbase_from_basis",
+                "vonorms", "vonorms_from_conorms"),
+    "metrics": ("continuity_bound", "root_metric", "root_metric_oriented",
+                "superbase_distance_linf"),
+    "projection": ("BarycentricTriple", "QTPoint", "reconstruct_superbase", "to_full_triangle",
+                   "to_quotient_triangle", "to_quotient_triangle_oriented"),
+    "records": ("DensityGrid", "GridSpec", "LatticeRecord", "accumulate_grid", "emit_grid",
+                "parse_records", "project_to_2d"),
+    "voronoi": ("VoronoiDomainPolygon", "VoronoiVector", "verify_partial_sums", "voronoi_domain",
+                "voronoi_vectors"),
+}
+PUBLIC_NAMES = sorted({*PUBLIC, *(n for names in PUBLIC.values() for n in names)})
+
+
+class TestPackageNamespace:
+    def test_each_name_is_its_submodules_object(self):
+        import rootforms
+
+        for module, names in PUBLIC.items():
+            sub = importlib.import_module(f"rootforms.{module}")
+            assert getattr(rootforms, module) is sub
+            for name in names:
+                assert getattr(rootforms, name) is getattr(sub, name), name
+
+    def test_a_bare_import_lists_and_resolves_every_name(self):
+        # in a fresh interpreter, where no submodule is loaded before the names are used
+        probe = (
+            "import rootforms\n"
+            "print(*(n for n in dir(rootforms) if not n.startswith('_')))\n"
+            "print(rootforms.voronoi.voronoi_vectors.__module__)\n"
+            "ns = {}\n"
+            "exec('from rootforms import *', ns)\n"
+            "print(*sorted(n for n in ns if n != '__builtins__'))\n"
+            "print(*sorted(n for n in dir(rootforms) if not n.startswith('_')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        listed, home, starred, resolved = proc.stdout.splitlines()
+        assert len(PUBLIC_NAMES) == 53
+        assert listed.split() == PUBLIC_NAMES
+        assert home == "rootforms.voronoi"
+        assert starred.split() == PUBLIC_NAMES
+        assert resolved.split() == PUBLIC_NAMES
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import rootforms
+
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            rootforms.nope
+        with pytest.raises(ImportError):
+            from rootforms import nope  # noqa: F401
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits, or its parsed values."""
+    try:
+        values = vars(parse(argv))
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+    return values
+
+
+# one command per argv[0], and argvs that argparse rejects or answers with help
+VALID_ARGV = [
+    ["reduce", "--basis", "1,0,0,1"],
+    ["rootform", "-i", "x"],
+    ["rootform", "--input=x", "-o", "y", "--oriented", "--lenient"],
+    ["dist", "--q", "inf", "--rf", "1,2,3", "--rf2", "1,2,4", "--oriented"],
+    ["dist", "--q", "2", "--basis", "1,0,0,1", "--basis2", "1,0,0.5,1"],
+    ["qt", "-i", "x", "-o", "y", "--signed"],
+    ["grid", "-i", "x", "-o", "y", "--pgm", "z", "--xmin", "1", "--ymax", "2", "--res", "9",
+     "--mode", "qt", "--lenient"],
+    ["voronoi", "--basis", "1,0,0,1"],
+]
+BAD_ARGV = [
+    [], ["bogus"], ["-- rootform"], ["--", "rootform"], ["--", "rootform", "-i", "x"], ["rootform", "-i", "x", "--bogus"],
+    ["grid", "--mode", "bad"], ["reduce", "--basis", "1,0,0,1", "extra"], ["-h"],
+    ["--help", "rootform"], ["bogus", "-h"], ["Rootform"], ["root"], ["rootform"],
+    ["reduce"], ["dist", "--q"], ["qt", "-i", "x"], ["grid", "-i", "x", "-o", "y", "--res", "a"],
+    ["voronoi", "--basis"], ["rootform", "-i", "x", "reduce", "--basis", "1,0,0,1"],
+    ["dist", "--rf", "1,2,3"],
+]
+
+
+class TestParserParity:
+    """A parser built for one command behaves as the parser of all six."""
+
+    @pytest.mark.parametrize("command", ["reduce", "rootform", "dist", "qt", "grid", "voronoi"])
+    def test_subcommand_help(self, capsys, command):
+        argv = [command, "-h"]
+        every = _parse_outcome(capsys, cli._build_parser().parse_args, argv)
+        assert every[0] == 0 and every[1].startswith(f"usage: rootforms {command} [-h]")
+        # built for the command, or for an argv[0] that names none and so gets all arguments
+        for built_for in (command, "-h", "bogus", "--"):
+            assert _parse_outcome(capsys, cli._build_parser(built_for).parse_args, argv) == every
+
+    @pytest.mark.parametrize("argv", VALID_ARGV)
+    def test_parsed_values(self, capsys, argv):
+        one = _parse_outcome(capsys, cli._build_parser(argv[0]).parse_args, argv)
+        every = _parse_outcome(capsys, cli._build_parser().parse_args, argv)
+        assert one == every
+        assert isinstance(one, dict) and one["func"].__name__.startswith("_cmd_")
+
+    @pytest.mark.parametrize("argv", BAD_ARGV)
+    def test_rejected_argv(self, capsys, argv):
+        one = _parse_outcome(capsys, main, argv)
+        every = _parse_outcome(capsys, cli._build_parser().parse_args, argv)
+        assert one == every
+        assert one[0] in (0, 2)
+
+    def test_usage_lists_every_command(self, capsys):
+        code, out, err = _parse_outcome(capsys, main, ["rootform", "-i", "x", "--bogus"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "usage: rootforms [-h] {reduce,rootform,dist,qt,grid,voronoi} ...",
+            "rootforms: error: unrecognized arguments: --bogus",
+        ]
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command", ["rootform", "qt"])
+    def test_non_ascii_id_writes_the_same_bytes_to_a_file_as_to_stdout(self, tmp_path, command):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text("é1,basis,1,0,0,1\n", encoding="utf-8")
+        dst.write_bytes(b"old\n")
+        outputs = []
+        for target in (str(dst), "-"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rootforms", command, "-i", str(src), "-o", target],
+                env=_child_env(PYTHONIOENCODING="utf-8"), capture_output=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == b""
+        row = "é1,0,1,1,neutral" if command == "rootform" else "é1,0,0"
+        assert dst.read_bytes() == outputs[1] == (
+            f"{'id,r12,r01,r02,sign' if command == 'rootform' else 'id,x,y'}\n{row}\n"
+        ).encode("utf-8")
 
 
 class TestFileErrors:
