@@ -2,13 +2,14 @@
 
 Subcommands: reduce, rootform, dist, qt, grid, voronoi. rootform, qt and grid
 stream their input in one thread through records.iter_records: each line is
-parsed and reduced, then formatted or binned, before the next is read, so
-grid's memory is O(occupied pixels), at most O(res^2), whatever the record
-count. The first bad line aborts the run, or with --lenient is skipped with a
-warning, so warnings come out in line order. grid checks its options before
-it reads the input; rootform and qt write their output at the end, and grid
-builds each file's bytes before it opens that file, so an aborted run leaves
-no partial file; -o files are UTF-8, as the input is. LATTICE_THREADS is
+parsed and reduced, then formatted or binned, before the next is read. The
+first bad line aborts the run, or with --lenient is skipped with a warning,
+so warnings come out in line order. rootform and qt spool their rows to a
+temporary file (in TMPDIR) and copy it to -o or stdout after the last record,
+so their memory is flat in the record count; grid's is O(occupied pixels), at
+most O(res^2). grid checks its options before it reads the input and builds
+each file's bytes before it opens that file, so no command leaves a partial
+file when it aborts. -o files are UTF-8, as the input is. LATTICE_THREADS is
 accepted for compatibility and ignored. Numbers print with 12 significant
 digits. A start imports only the modules its subcommand runs and adds only
 that subcommand's arguments to the parser.
@@ -20,27 +21,11 @@ import argparse
 import sys
 
 from .errors import LatticeError
-from .lattice import (
-    Basis2,
-    LatticeSign,
-    Vec2,
-    conorms,
-    orient_obtuse,
-    oriented_root_form,
-    oriented_root_products,
-    reduce_to_obtuse,
-    root_form_from_values,
-    superbase_from_basis,
-)
-from .records import (
-    GridSpec,
-    LatticeRecord,
-    accumulate_grid,
-    basis_coords,
-    emit_grid,
-    format_number as fmt,
-    iter_records,
-)
+from .lattice import (Basis2, LatticeSign, Vec2, conorms, orient_obtuse, oriented_root_form,
+                      oriented_root_products, reduce_to_obtuse, root_form_from_values,
+                      superbase_from_basis)
+from .records import (GridSpec, LatticeRecord, accumulate_grid, basis_coords, emit_grid,
+                      format_number as fmt, iter_records)
 
 
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -71,12 +56,26 @@ def _process_records(args):
         yield from iter_records(fh, _record_forms, args.lenient)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _write_rows(path: str | None, header: str, rows) -> int:
+    """Write ``header`` and ``rows``, one line each, to ``path`` or stdout ("-", None).
+
+    Rows go to a temporary file as they come, 1024 at a time, and are copied out
+    after the last one: memory stays flat, and a run that aborts opens no -o."""
+    import shutil
+    import tempfile
+    from itertools import islice
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
+        spool.write(header + "\n")
+        while batch := list(islice(rows, 1024)):  # a write per row costs 3x as much
+            spool.write("\n".join(batch) + "\n")
+        spool.seek(0)
+        if path is None or path == "-":
+            shutil.copyfileobj(spool, sys.stdout, 1 << 16)
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                shutil.copyfileobj(spool, fh, 1 << 16)
+    return 0
 
 
 def _cmd_reduce(args) -> int:
@@ -97,12 +96,10 @@ def _record_forms(rec: LatticeRecord):
 
 
 def _cmd_rootform(args) -> int:
-    lines = ["id,r12,r01,r02,sign"]
-    for rec_id, orf, sign in _process_records(args):
-        triple = tuple(orf) if args.oriented else tuple(sorted(orf))
-        lines.append(",".join([rec_id, *(fmt(v) for v in triple), sign.value]))
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    order = tuple if args.oriented else sorted
+    return _write_rows(args.output, "id,r12,r01,r02,sign", (
+        ",".join([rec_id, *(fmt(v) for v in order(orf)), sign.value])
+        for rec_id, orf, sign in _process_records(args)))
 
 
 def _cmd_dist(args) -> int:
@@ -132,14 +129,13 @@ def _cmd_dist(args) -> int:
 def _cmd_qt(args) -> int:
     from .projection import qt_coords
 
-    lines = ["id,x,y"]
-    for rec_id, orf, sign in _process_records(args):
-        x, y = qt_coords(*sorted(orf))
-        if args.signed and sign is LatticeSign.NEGATIVE:
-            x = -x
-        lines.append(",".join([rec_id, fmt(x), fmt(y)]))
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
+    def rows():
+        for rec_id, orf, sign in _process_records(args):
+            x, y = qt_coords(*sorted(orf))
+            x = -x if args.signed and sign is LatticeSign.NEGATIVE else x
+            yield f"{rec_id},{fmt(x)},{fmt(y)}"
+
+    return _write_rows(args.output, "id,x,y", rows())
 
 
 _GRID_DEFAULTS = {

@@ -19,13 +19,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateLattice
-from .lattice import (
-    LatticeSign,
-    ObtuseSuperbase,
-    OrientedRootForm,
-    RootForm,
-    Vec2,
-)
+from .lattice import LatticeSign, ObtuseSuperbase, OrientedRootForm, RootForm, Vec2
 
 
 class BarycentricTriple(NamedTuple):
@@ -48,22 +42,28 @@ class QTPoint(NamedTuple("QTPoint", [("x", float), ("y", float), ("signed_x", fl
         return tuple.__new__(cls, (x, y, signed_x))
 
 
-def to_full_triangle(rf: RootForm) -> BarycentricTriple:
-    """Normalise a root form by its entry sum."""
-    total = rf[0] + rf[1] + rf[2]
+def _shares(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Each entry divided by the entry sum, which must be positive."""
+    total = a + b + c
+    if total == math.inf:  # scaling by 1/4 is exact, so the shares keep their bits
+        a, b, c = 0.25 * a, 0.25 * b, 0.25 * c
+        total = a + b + c
     if total <= 0.0:
         raise DegenerateLattice("root products sum to zero")
-    return BarycentricTriple(rf[0] / total, rf[1] / total, rf[2] / total)
+    return a / total, b / total, c / total
+
+
+def to_full_triangle(rf: RootForm) -> BarycentricTriple:
+    """Normalise a root form by its entry sum."""
+    return BarycentricTriple(*_shares(*rf))
 
 
 def qt_coords(r12: float, r01: float, r02: float) -> tuple[float, float]:
     """Quotient-triangle (x, y) of an ascending root-product triple, on floats."""
-    total = r12 + r01 + r02
-    if total <= 0.0:
-        raise DegenerateLattice("root products sum to zero")
-    # r12 / total is the smallest of three shares summing to 1, so at most
-    # 1/3; rounding can leave it one ulp above, outside the triangle
-    return 0.5 * (r02 / total - r01 / total), min(r12 / total, 1.0 / 3.0)
+    b12, b01, b02 = _shares(r12, r01, r02)
+    # b12 is the smallest of three shares summing to 1, so at most 1/3;
+    # rounding can leave it one ulp above, outside the triangle
+    return 0.5 * (b02 - b01), min(b12, 1.0 / 3.0)
 
 
 def to_quotient_triangle(rf: RootForm) -> QTPoint:

@@ -237,8 +237,12 @@ def _emit_csv(grid: DensityGrid) -> bytes:
     s = grid.spec
     res = s.resolution
     header = [format_number(v) for v in (s.x_min, s.x_max, s.y_min, s.y_max)] + [str(res)]
-    # every body row starts as "0,0,...,0\n", so pixel k's digit is byte 2k
-    body = bytearray(b"0," * (res - 1) + b"0\n") * res
+    # every body row starts as "0,0,...,0\n", so pixel k's digit is byte 2k; the
+    # body is allocated in one call, whose failure is a clean MemoryError, then filled
+    row = b"0," * (res - 1) + b"0\n"
+    body = bytearray(len(row) * res)
+    for start in range(0, len(body), len(row)):
+        body[start:start + len(row)] = row
     wide = []
     for k, c in grid.counts.items():
         if 0 <= c < 10:

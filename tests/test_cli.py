@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -502,11 +503,12 @@ class TestStartup:
         (["qt", "-i", "F", "-o", "G"], ("rootforms.projection",),
          ("rootforms.voronoi", "rootforms.metrics")),
         (["grid", "-i", "F", "-o", "G", "--pgm", "G.pgm", "--res", "16"],
-         ("rootforms.projection",), ("rootforms.voronoi", "rootforms.metrics")),
+         ("rootforms.projection",),
+         ("rootforms.voronoi", "rootforms.metrics", "tempfile", "shutil")),
         (["dist", "--q", "2", "--rf", "1,2,3", "--rf2", "1,2,4"], ("rootforms.metrics",),
-         ("rootforms.voronoi", "rootforms.projection")),
+         ("rootforms.voronoi", "rootforms.projection", "tempfile", "shutil")),
         (["voronoi", "--basis", "1,0,0,1"], ("rootforms.voronoi",),
-         ("rootforms.metrics", "rootforms.projection")),
+         ("rootforms.metrics", "rootforms.projection", "tempfile", "shutil")),
     ])
     def test_a_subcommand_imports_only_its_own_modules(self, tmp_path, argv, loads, leaves):
         src = tmp_path / "in.csv"
@@ -799,6 +801,28 @@ class TestStreaming:
         assert (code, out, err) == (1, "", "error: out of memory in grid\n")
         assert (dst.read_bytes(), pgm.read_bytes()) == (b"old csv\n", b"old pgm\n")
 
+    def test_running_out_of_address_space_in_the_emit_is_one_error_line(self, tmp_path):
+        # the child may map 600 MB, less than the 800 MB CSV body at --res 20000
+        resource = pytest.importorskip("resource")
+        limit = 600_000 * 1024
+
+        def cap_address_space():  # runs in the child, so the limit binds only there
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        src, dst = tmp_path / "one.csv", tmp_path / "g.csv"
+        src.write_text("a,cell2,1,1,90\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootforms", "grid", "-i", str(src), "-o", str(dst),
+             "--res", "20000"],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+            preexec_fn=cap_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: out of memory in grid\n"
+        assert not dst.exists()
+
     def test_failed_pgm_emit_keeps_the_old_pgm(self, tmp_path, capsys, monkeypatch):
         def emit_grid(grid, fmt):
             if fmt == "pgm":
@@ -858,6 +882,63 @@ class TestStreaming:
                 tracemalloc.stop()
         assert capsys.readouterr() == ("", "")
         assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
+
+
+@pytest.mark.parametrize("command", ["rootform", "qt"])
+class TestRowSink:
+    def test_a_strict_run_failing_on_its_last_line_keeps_the_old_output(
+        self, tmp_path, capsys, command
+    ):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text(RECORDS + "collinear,basis,1,0,2,0\n")
+        dst.write_bytes(b"old\n")
+        code, out, err = run(capsys, *_file_command(command, src, dst))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: record 'collinear' (line 8): ") and err.count("\n") == 1
+        assert dst.read_bytes() == b"old\n"
+
+    def test_the_input_file_can_be_the_output_file(self, tmp_path, capsys, command):
+        src, want = tmp_path / "in.csv", tmp_path / "want.csv"
+        src.write_text(RECORDS)
+        assert run(capsys, *_file_command(command, src, want)) == (0, "", "")
+        assert run(capsys, *_file_command(command, src, src)) == (0, "", "")
+        assert src.read_bytes() == want.read_bytes()
+        assert len(src.read_text().splitlines()) == 7  # the header and six rows
+
+    def test_an_unusable_temp_directory_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text(RECORDS)
+        dst.write_bytes(b"old\n")
+        code, out, err = run(capsys, *_file_command(command, src, dst))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err
+        assert dst.read_bytes() == b"old\n"
+
+    def test_peak_memory_does_not_grow_with_the_record_count(self, tmp_path, capsys, command):
+        # rows go to the spool 1024 at a time, so no row list grows with the file
+        base = tmp_path / "base.csv"
+        _mixed_record_file(base)
+        good = base.read_text().splitlines()[:-5]  # drop the bad records
+        argvs = []
+        for n in (2000, 20000):
+            src = tmp_path / f"in{n}.csv"
+            src.write_text("".join(f"t{i}{good[i % len(good)]}\n" for i in range(n)))
+            argvs.append(_file_command(command, src, tmp_path / "out.csv"))
+        assert main(argvs[0]) == 0  # warm-up
+        peaks = []
+        for argv in argvs:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr() == ("", "")
+        assert peaks[1] < 2 * peaks[0], peaks  # it grew 8-9x when rows were kept in a list
 
 
 def _mixed_record_file(path, seed=20261018, n=240):

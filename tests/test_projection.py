@@ -26,6 +26,7 @@ from rootforms import (
     to_quotient_triangle_oriented,
 )
 from rootforms.lattice import OrientedRootForm
+from rootforms.projection import qt_coords
 
 
 class TestFullTriangle:
@@ -47,6 +48,30 @@ class TestFullTriangle:
     def test_zero_sum_rejected(self):
         with pytest.raises(DegenerateLattice):
             to_full_triangle(RootForm(0.0, 0.0, 0.0))
+
+
+class TestOverflowingEntrySum:
+    # the entries are finite but their sum is not; scaling by 2^-4 is exact,
+    # so the shares of the scaled triple are the bits the overflowing one must give
+    BIG = (1e308, 1.5e308, 1.7e308)
+    SCALED = tuple(math.ldexp(v, -4) for v in BIG)
+
+    def test_the_sum_overflows(self):
+        assert sum(self.BIG) == math.inf and sum(self.SCALED) < math.inf
+
+    def test_qt_coords(self):
+        got = qt_coords(*self.BIG)
+        assert got == qt_coords(*self.SCALED)
+        assert got[0] > 0.0 and got[1] > 0.0
+
+    def test_full_triangle(self):
+        got = to_full_triangle(RootForm(*self.BIG))
+        assert got == to_full_triangle(RootForm(*self.SCALED))
+        assert math.fsum(got) == pytest.approx(1.0, abs=1e-15)
+
+    def test_quotient_triangle_points(self):
+        assert to_quotient_triangle(RootForm(*self.BIG)) == to_quotient_triangle(
+            RootForm(*self.SCALED))
 
 
 class TestQuotientTriangle:
