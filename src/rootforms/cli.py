@@ -21,9 +21,8 @@ import argparse
 import sys
 
 from .errors import LatticeError
-from .lattice import (Basis2, LatticeSign, Vec2, conorms, orient_obtuse, oriented_root_form,
-                      oriented_root_products, reduce_to_obtuse, root_form_from_values,
-                      superbase_from_basis)
+from .lattice import (Basis2, LatticeSign, Vec2, oriented_root_form, oriented_root_products,
+                      root_form_from_values)
 from .records import (GridSpec, LatticeRecord, accumulate_grid, basis_coords, emit_grid,
                       format_number as fmt, iter_records)
 
@@ -79,13 +78,12 @@ def _write_rows(path: str | None, header: str, rows) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    basis = _basis_from_flag(args.basis)
-    obt = reduce_to_obtuse(superbase_from_basis(basis))
-    orf, sign = orient_obtuse(obt)
-    cells = [obt.v0.x, obt.v0.y, obt.v1.x, obt.v1.y, obt.v2.x, obt.v2.y, *conorms(obt),
-             *sorted(orf)]
+    v1, v2 = _basis_from_flag(args.basis)
+    xy, orf, sign, steps = oriented_root_products(*v1, *v2)
+    x0, y0, x1, y1, x2, y2 = xy
+    p = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))  # p12, p01, p02
     print("v0x,v0y,v1x,v1y,v2x,v2y,p12,p01,p02,r12,r01,r02,sign,steps")
-    print(",".join([*(fmt(c) for c in cells), sign.value, str(obt.reduction_steps)]))
+    print(",".join([*(fmt(c) for c in (*xy, *p, *sorted(orf))), sign.value, str(steps)]))
     return 0
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-All errors derive from LatticeError (a ValueError), so callers can catch
-either the specific condition or anything raised by this package.
+Each class derives from LatticeError, a ValueError; the checks of Vec2, the
+Superbase2 sum, QTPoint, root-product triples and grid formats raise a plain
+ValueError, so catching ValueError catches every error of the package.
 """
 
 

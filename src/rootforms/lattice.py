@@ -11,8 +11,8 @@ Conventions
 - An obtuse superbase has all three conorms >= 0, exactly when the kernel built
   it; one a caller builds may have conorms a tolerance below 0, counted as 0.
 
-Tolerances are relative to the natural scale of the input (max vonorm or max
-root product); there are no absolute thresholds anywhere.
+check_basis alone decides that a basis is degenerate, and two conorms <= 0
+that a lattice is; every tolerance scales with the input, none is absolute.
 
 The value types are immutable named tuples, so they also unpack, index and
 compare equal to plain tuples of the same values. Vec2, Basis2, Superbase2
@@ -34,8 +34,8 @@ from .errors import (
 
 # Relative determinant threshold below which a basis counts as degenerate.
 DEG_TOL = 1e-12
-# Relative factor for "this conorm is negative" in a superbase a caller builds,
-# and for "this conorm vanishes"; scaled by its max(vonorms).
+# Relative factor for "this conorm is negative" in a superbase a caller builds
+# or a vonorm triple, scaled by its max(vonorms); _check_conorms is its one use.
 NEG_TOL = 1e-10
 # Relative factor for root-product ties (neutral/achiral detection); scaled
 # by the largest root product.
@@ -205,11 +205,12 @@ class Superbase2(NamedTuple("Superbase2", [("v0", Vec2), ("v1", Vec2), ("v2", Ve
 
 class ObtuseSuperbase(NamedTuple("ObtuseSuperbase", [("v0", Vec2), ("v1", Vec2), ("v2", Vec2),
                                                      ("reduction_steps", int)]), Superbase2):
-    """Superbase with all conorms >= 0 (up to tolerance).
+    """Superbase with all conorms >= 0, exactly when the kernel built it.
 
-    reduction_steps counts the Lagrange-Gauss passes that produced it; zero
-    when (-(v1 + v2), v1, v2) of the input was already obtuse. It is
-    the fourth field, so an ObtuseSuperbase unpacks to four values.
+    One a caller builds may carry a conorm down to -NEG_TOL * max(vonorms),
+    counted as 0; below that it raises NegativeConorm. reduction_steps, the
+    fourth field, counts the Lagrange-Gauss passes that produced it: zero
+    when (-(v1 + v2), v1, v2) of the input was already obtuse.
     """
 
     __slots__ = ()
@@ -218,7 +219,7 @@ class ObtuseSuperbase(NamedTuple("ObtuseSuperbase", [("v0", Vec2), ("v1", Vec2),
     def __new__(cls, v0: Vec2, v1: Vec2, v2: Vec2, reduction_steps: int = 0):
         _check_superbase(v0, v1, v2)
         self = tuple.__new__(cls, (v0, v1, v2, reduction_steps))
-        orient_obtuse(self)  # raises unless obtuse with at most one vanishing conorm
+        _check_conorms(conorms(self), vonorms(self), "superbase is not obtuse")
         return self
 
 
@@ -259,10 +260,13 @@ def conorms_from_vonorms(n: VonormTriple) -> ConormTriple:
         0.5 * (n0 + n1 - n2),
         0.5 * (n0 + n2 - n1),
     )
-    tol = NEG_TOL * max(n)
-    if min(c) < -tol:
-        raise NegativeConorm(f"vonorms {tuple(n)} violate a triangle inequality")
+    _check_conorms(c, n, f"vonorms {tuple(n)} violate a triangle inequality")
     return c
+
+
+def _check_conorms(c: ConormTriple, n: VonormTriple, what: str) -> None:
+    if min(c) < -NEG_TOL * max(n):
+        raise NegativeConorm(f"{what}: conorms {tuple(c)}")
 
 
 def lagrange_gauss(x1: float, y1: float, x2: float, y2: float):
@@ -303,8 +307,8 @@ def oriented_root_products(x1: float, y1: float, x2: float, y2: float):
     Lagrange-Gauss reduced to (u1, u2), u2 is negated when u1 . u2 > 0, and
     the superbase is (-(u1 + u2), u1, u2): with |u1 . u2| <= |u1|^2 / 2 <=
     |u2|^2 / 2 and u1 . u2 <= 0 all three conorms are nonnegative (the 2D
-    case of Selling reduction), so the result is exactly obtuse. NEG_TOL
-    judges only superbases that callers build (orient_obtuse).
+    case of Selling reduction), so the result is exactly obtuse. Past
+    check_basis, no tolerance applies but SIGN_TOL.
 
     Returns ((x0, y0, x1, y1, x2, y2), oriented root products, sign, passes)
     as plain floats, the sign as in oriented_root_form.
@@ -329,19 +333,13 @@ def _oriented_root_products(x1, y1, x2, y2):
 def _obtuse_root_products(x0, y0, x1, y1, x2, y2):
     """Oriented root products and sign of the obtuse superbase (v0, v1, v2).
 
-    With t = NEG_TOL * max(vonorms), a conorm below -t raises ValueError, two
-    at most t raise DegenerateLattice, and the other negatives count as 0.
-    Neutral means the smallest root product, or a gap between two, is at most
-    SIGN_TOL times the largest (a vanishing smallest one is a rectangular
-    cell, whose obtuse superbases are related by reflections).
+    A conorm <= 0 gives a root product of 0, and two of them raise
+    DegenerateLattice. Neutral means the smallest root product, or a gap
+    between two, is at most SIGN_TOL times the largest (a vanishing smallest
+    one is a rectangular cell, whose obtuse superbases are related by
+    reflections).
     """
     p12, p01, p02 = -(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2)
-    tol = NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
-    if p12 < -tol or p01 < -tol or p02 < -tol:
-        raise ValueError(f"superbase is not obtuse: conorms {(p12, p01, p02)}")
-    if p12 <= tol and (p01 <= tol or p02 <= tol) or p01 <= tol and p02 <= tol:
-        # two vanishing conorms force a vanishing vonorm
-        raise DegenerateLattice(f"two conorms vanish: {(p12, p01, p02)}")
     a = math.sqrt(p12) if p12 > 0.0 else 0.0
     b = math.sqrt(p01) if p01 > 0.0 else 0.0
     c = math.sqrt(p02) if p02 > 0.0 else 0.0
@@ -350,6 +348,8 @@ def _obtuse_root_products(x0, y0, x1, y1, x2, y2):
     # rotate the first minimum to the front; the other two, ordered, give (lo, mid, hi)
     lo, b, c = (a, b, c) if a <= b and a <= c else (b, c, a) if b <= c else (c, a, b)
     mid, hi = (b, c) if b <= c else (c, b)
+    if mid == 0.0:  # two vanishing conorms force a vanishing vonorm
+        raise DegenerateLattice(f"two conorms vanish: {(p12, p01, p02)}")
     tol = SIGN_TOL * hi
     if lo <= tol or mid - lo <= tol or hi - mid <= tol:
         return (lo, mid, hi), LatticeSign.NEUTRAL

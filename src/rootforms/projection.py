@@ -43,13 +43,15 @@ class QTPoint(NamedTuple("QTPoint", [("x", float), ("y", float), ("signed_x", fl
 
 
 def _shares(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Each entry divided by the entry sum, which must be positive."""
+    """Each entry divided by the entry sum, which must be positive; entries finite."""
     total = a + b + c
-    if total == math.inf:  # scaling by 1/4 is exact, so the shares keep their bits
-        a, b, c = 0.25 * a, 0.25 * b, 0.25 * c
+    if not 0.0 < total < math.inf:
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise ValueError(f"non-finite root product in {(a, b, c)}")
+        if total <= 0.0:
+            raise DegenerateLattice("root products sum to zero")
+        a, b, c = 0.25 * a, 0.25 * b, 0.25 * c  # the sum overflowed; x 1/4 keeps the shares' bits
         total = a + b + c
-    if total <= 0.0:
-        raise DegenerateLattice("root products sum to zero")
     return a / total, b / total, c / total
 
 

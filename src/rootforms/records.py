@@ -15,6 +15,9 @@ reader of these lines, owns the skip-or-abort rule for bad ones. Kinds:
 - ``mono3`` (a, b, c, beta): monoclinic 3D cell, projected along the unique
   axis b, leaving the general cell (a, c, beta).
 
+Lengths must be positive and angles in (0, 180) degrees; lattice.check_basis
+alone decides whether a record's 2D basis is degenerate.
+
 Density grids bin (x, y) points into resolution x resolution pixels with the
 floor rule; points exactly on the upper bound land in the last pixel, points
 outside the bounds (or NaN) only bump ``overflow_count``. A grid keeps only
@@ -35,13 +38,10 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import DegenerateBasis, InvalidGridSpec, LatticeError, ParseError
+from .errors import InvalidGridSpec, LatticeError, ParseError
 from .lattice import Basis2, Vec2
 
 KINDS = {"basis": 4, "cell2": 3, "ortho3": 3, "mono3": 4}
-
-# Angles this close to 0 or 180 degrees make the projected cell degenerate.
-ANGLE_TOL_DEG = 1e-9
 
 
 class LatticeRecord(NamedTuple):
@@ -118,7 +118,7 @@ def iter_records(lines, compute=None, lenient=False):
                 continue
             try:
                 item = rec if compute is None else compute(rec)
-            except ValueError as exc:  # a LatticeError, or a conorm not obtuse
+            except ValueError as exc:  # a LatticeError, or a library compute's own
                 raise LatticeError(f"record {rec.id!r} (line {n}): {exc}") from exc
         except ValueError as exc:
             if not lenient:
@@ -145,8 +145,6 @@ def basis_coords(rec: LatticeRecord) -> tuple[float, float, float, float]:
         a, b, gamma = p
     else:  # mono3: drop the unique axis length, keep (a, c, beta)
         a, b, gamma = p[0], p[2], p[3]
-    if min(gamma, 180.0 - gamma) < ANGLE_TOL_DEG:
-        raise DegenerateBasis(f"cell angle {gamma:g} degrees is degenerate")
     if gamma == 90.0:  # exactly rectangular: cos(radians(90)) is 6e-17, not 0
         return a, 0.0, 0.0, b
     rad = math.radians(gamma)

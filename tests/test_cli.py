@@ -58,6 +58,25 @@ class TestReduce:
         assert cells[12] == "positive"
         assert cells[13] == "0"
 
+    @pytest.mark.parametrize("coords, row", [
+        ("3,0,-1,3", "-2,-3,3,0,-1,3,3,6,7,1.73205080757,2.44948974278,2.64575131106,positive,0"),
+        # a thin rectangle: one conorm is 0 and the other two are not
+        ("1e-5,0,0,1", "-1e-05,-1,1e-05,0,0,1,0,1e-10,1,0,1e-05,1,neutral,0"),
+    ])
+    def test_full_row(self, capsys, coords, row):
+        code, out, _ = run(capsys, "reduce", "--basis", coords)
+        assert (code, out.splitlines()[1]) == (0, row)
+
+    @pytest.mark.parametrize("coords, message", [
+        ("1,nan,0,1", "non-finite vector (1.0, nan)"),
+        ("1,0,inf,1", "non-finite vector (inf, 1.0)"),
+        ("1,0,2,0", "basis determinant 0 below tolerance for scale 2"),
+        ("1,2,3", "--basis needs 4 comma-separated numbers, got 3"),
+        ("1,0,x,1", "--basis: non-numeric value in '1,0,x,1'"),
+    ])
+    def test_flag_errors(self, capsys, coords, message):
+        assert run(capsys, "reduce", "--basis", coords) == (1, "", f"error: {message}\n")
+
     def test_reduction_step_count(self, capsys):
         code, out, _ = run(capsys, "reduce", "--basis", "1,0,1,1")
         assert code == 0
@@ -162,6 +181,14 @@ class TestRootform:
             for rid, n in (("nan_det", 2), ("inf_det", 3))
         ]
         assert out.splitlines()[1:] == ["ok,0,1,1,neutral"]
+
+    def test_thin_basis_gets_its_root_form(self, tmp_path, capsys):
+        # entry accepts it, and no second tolerance calls two conorms vanishing
+        src = tmp_path / "in.csv"
+        src.write_text("thin,basis,1e-5,0,0,1\n")
+        code, out, err = run(capsys, "rootform", "-i", str(src))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == ["thin,0,1e-05,1,neutral"]
 
     def test_basis_past_the_former_second_degeneracy_scale(self, tmp_path, capsys):
         # the square lattice (det -1, kappa about 8e11); entry accepted it, and

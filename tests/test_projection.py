@@ -18,6 +18,7 @@ from rootforms import (
     oriented_root_form,
     reconstruct_superbase,
     root_form,
+    root_form_from_values,
     superbase_distance_linf,
     superbase_from_basis,
     reduce_to_obtuse,
@@ -72,6 +73,17 @@ class TestOverflowingEntrySum:
     def test_quotient_triangle_points(self):
         assert to_quotient_triangle(RootForm(*self.BIG)) == to_quotient_triangle(
             RootForm(*self.SCALED))
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("project, triple", [
+        (qt_coords, (1.0, 2.0, math.inf)),
+        (qt_coords, (1.0, 2.0, math.nan)),
+        (lambda *rf: to_full_triangle(RootForm(*rf)), (1.0, 2.0, math.inf)),
+    ], ids=["qt_coords_inf", "qt_coords_nan", "to_full_triangle_inf"])
+    def test_raise_instead_of_returning_nan(self, project, triple):
+        with pytest.raises(ValueError, match=r"^non-finite root product in \(1\.0, 2\.0, "):
+            project(*triple)
 
 
 class TestQuotientTriangle:
@@ -198,6 +210,11 @@ class TestReconstruction:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateLattice):
             reconstruct_superbase(RootForm(0.0, 0.0, 1.0))
+
+    def test_thin_rectangle_round_trips(self):
+        # conorms (0, 1e-10, 1): one vanishes, the second is small but positive
+        rf = root_form_from_values(0.0, 1e-5, 1.0)
+        assert root_form(reconstruct_superbase(rf)) == rf
 
     @pytest.mark.parametrize("shape", [
         (0.0, 4.0, 4.0), (0.6, 1.0, 1.4), (1.0, 1.0, 1.0), (0.01, 1.0, 1.005),

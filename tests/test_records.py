@@ -187,8 +187,9 @@ class TestProjection:
         assert (b.v2.x, b.v2.y) == (-1.0, 3.0)
 
     def test_degenerate_angle_rejected(self):
+        # sin(1e-12 degrees) = 1.7e-14 is the determinant, below DEG_TOL
         with pytest.raises(DegenerateBasis):
-            project_to_2d(LatticeRecord("x", "cell2", (1.0, 1.0, 1e-10)))
+            project_to_2d(LatticeRecord("x", "cell2", (1.0, 1.0, 1e-12)))
 
     def test_ortho3_tie_keeps_two(self):
         b = project_to_2d(LatticeRecord("x", "ortho3", (4.0, 4.0, 4.0)))

@@ -28,6 +28,7 @@ from helpers import (
     oracle_reduce_to_obtuse,
     random_basis,
     random_unimodular,
+    rotated_basis,
 )
 from rootforms import (
     Basis2,
@@ -43,7 +44,9 @@ from rootforms import (
     root_metric,
     superbase_from_basis,
 )
-from rootforms.lattice import DEG_TOL, SIGN_TOL, _obtuse_root_products, orient_obtuse
+from rootforms.lattice import (DEG_TOL, SIGN_TOL, _obtuse_root_products, orient_obtuse,
+                               oriented_root_products)
+from rootforms.records import LatticeRecord, basis_coords
 
 
 def _scaled(b: Basis2, f: float) -> Basis2:
@@ -191,12 +194,10 @@ def test_passes_stay_logarithmic_up_to_the_degeneracy_limit():
 
 def _listed_root_products(x0, y0, x1, y1, x2, y2):
     """Reference for lattice._obtuse_root_products: conorms and roots as lists,
-    sorted, and the first minimum found by list.index."""
+    sorted, and the first minimum found by list.index. A conorm <= 0 counts
+    as 0, with no tolerance, and two of them are degenerate."""
     c = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
-    tol = 1e-10 * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
-    if min(c) < -tol:
-        raise ValueError(f"superbase is not obtuse: conorms {c}")
-    if sorted(c)[1] <= tol:
+    if sorted(c)[1] <= 0.0:
         raise DegenerateLattice(f"two conorms vanish: {c}")
     w = [math.sqrt(p) if p > 0.0 else 0.0 for p in c]
     if x1 * y2 - y1 * x2 < 0.0:
@@ -219,9 +220,11 @@ def _outcome(fn, v):
 
 def test_unrolled_root_products_match_the_listed_reference():
     # seeded superbases (v0, v1, v2) of every kind: chiral, near and exact ties
-    # (square, hexagonal, rectangular, rhombic), non-obtuse and two-vanishing ones,
-    # each in all three cyclic labellings and mirrored; the draws are numpy floats,
-    # whose comparisons give numpy bools, as a numpy caller's would
+    # (square, hexagonal, rectangular, rhombic), non-obtuse ones (whose negative
+    # conorms count as 0: obtuseness is judged where superbases are built) and
+    # two-vanishing ones, each in all three cyclic labellings and mirrored; the
+    # draws are numpy floats, whose comparisons give numpy bools, as a numpy
+    # caller's would
     rng = make_rng(1010)
     h = math.sqrt(3.0) / 2.0
     cells = [((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (-0.5, h)), ((2.0, 0.0), (0.0, 1.0)),
@@ -239,7 +242,7 @@ def test_unrolled_root_products_match_the_listed_reference():
             expected = _outcome(_listed_root_products, v)
             assert _outcome(_obtuse_root_products, v) == expected, v
             seen.add(expected[0] if isinstance(expected[0], type) else expected[1])
-    assert seen == {ValueError, DegenerateLattice, *LatticeSign}
+    assert seen == {DegenerateLattice, *LatticeSign}
 
 
 def test_two_vanishing_conorms_message():
@@ -275,3 +278,62 @@ def test_mirror_images_of_a_near_rectangle_get_the_same_root_form(eps):
     assert sorted(plus) == sorted(minus)
     assert {s_plus, s_minus} == {LatticeSign.POSITIVE, LatticeSign.NEGATIVE}
     assert root_metric(plus, minus, math.inf) == 0.0
+
+
+# Thin lattices: check_basis is the one degeneracy rule for a basis, so every
+# thin record it accepts must reduce to the exact lattice's conorms. The bound
+# is on squared products: the square root is not Lipschitz at 0, so near a
+# rectangular cell only the conorms keep an error linear in kappa.
+
+
+def _assert_conorms_within_kappa_bound(coords, orf):
+    b = Basis2(Vec2(*coords[:2]), Vec2(*coords[2:]))
+    exact = exact_oriented_roots(b)
+    bound = 4.0 * ULP * condition_number(b) * max(exact) ** 2
+    for got, want in zip(sorted(orf), sorted(exact)):
+        assert abs(got * got - want * want) <= bound, (coords, orf, exact, bound)
+
+
+def _thin_bases(rng):
+    # rectangles and general cells of aspect 1e3 to 3e11, rotated; every other
+    # one hidden by a unimodular matrix, which may push its skew past what
+    # entry accepts, so the matrix acts on plain floats
+    for _ in range(4000):
+        aspect = 10.0 ** rng.uniform(3.0, math.log10(3e11))
+        offset = 0.0 if rng.random() < 0.5 else rng.uniform(-0.5, 0.5)
+        b = rotated_basis(Basis2(Vec2(1.0, 0.0), Vec2(offset, aspect)),
+                          rng.uniform(0.0, 2.0 * math.pi))
+        (x1, y1), (x2, y2) = b
+        if rng.random() < 0.5:
+            (m11, m12), (m21, m22) = random_unimodular(rng, shears=3).tolist()
+            x1, y1, x2, y2 = (m11 * x1 + m12 * x2, m11 * y1 + m12 * y2,
+                              m21 * x1 + m22 * x2, m21 * y1 + m22 * y2)
+        yield LatticeRecord("t", "basis", (x1, y1, x2, y2))
+
+
+def _flat_cells(rng):
+    # cell2 angles from 1e-12 to 1e-7 degrees and 180 degrees minus each
+    for gamma in 10.0 ** rng.uniform(-12.0, -7.0, size=200):
+        for angle in (gamma, 180.0 - gamma):
+            a, b = rng.uniform(0.5, 5.0, size=2)
+            yield LatticeRecord("c", "cell2", (float(a), float(b), float(angle)))
+
+
+@pytest.mark.parametrize("records, seed, least_accepted, least_refused", [
+    (_thin_bases, 9400, 3000, 100),
+    (_flat_cells, 9401, 100, 100),
+], ids=["thin_bases", "flat_cell2"])
+def test_thin_lattices_are_refused_at_entry_or_reduced_exactly(
+        records, seed, least_accepted, least_refused):
+    accepted = refused = 0
+    for rec in records(make_rng(seed)):
+        try:  # the record path of the CLI
+            coords = basis_coords(rec)
+            _, orf, _, _ = oriented_root_products(*coords)
+        except DegenerateBasis as exc:
+            assert str(exc).startswith("basis determinant "), exc  # by check_basis
+            refused += 1
+            continue
+        _assert_conorms_within_kappa_bound(coords, orf)
+        accepted += 1
+    assert accepted >= least_accepted and refused >= least_refused, (accepted, refused)

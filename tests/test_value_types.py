@@ -15,6 +15,7 @@ from rootforms import (
     GridSpec,
     InvalidGridSpec,
     LatticeError,
+    NegativeConorm,
     ObtuseSuperbase,
     QTPoint,
     Superbase2,
@@ -210,7 +211,7 @@ class TestValidation:
                         Superbase2, Vec2(-3.0, 0.0), Vec2(1.0, 0.0), Vec2(2.0, 0.0))
 
     def test_obtuse_superbase_must_be_obtuse(self):
-        _raises_exactly(ValueError, "superbase is not obtuse: conorms (-1.0, 2.0, 3.0)",
+        _raises_exactly(NegativeConorm, "superbase is not obtuse: conorms (-1.0, 2.0, 3.0)",
                         ObtuseSuperbase, Vec2(-2.0, -1.0), Vec2(1.0, 0.0), Vec2(1.0, 1.0),
                         reduction_steps=3)
         # the same vectors make a valid, non-obtuse Superbase2
@@ -257,7 +258,7 @@ class TestValidation:
          lambda: Superbase2(V0, V1, V2)._replace(v0=Vec2(0.0, 0.0))),
         (ValueError, "superbase vectors sum to (1, 2), not zero",
          lambda: Superbase2._make((Vec2(0.0, 0.0), V1, V2))),
-        (ValueError, "superbase is not obtuse: conorms (-1.0, 2.0, 3.0)",
+        (NegativeConorm, "superbase is not obtuse: conorms (-1.0, 2.0, 3.0)",
          lambda: ObtuseSuperbase._make((Vec2(-2.0, -1.0), Vec2(1.0, 0.0), Vec2(1.0, 1.0), 3))),
         (ValueError, "superbase vectors sum to (1, 2), not zero",
          lambda: ObtuseSuperbase(V0, V1, V2, 3)._replace(v0=Vec2(0.0, 0.0))),
