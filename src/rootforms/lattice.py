@@ -35,7 +35,8 @@ from .errors import (
 # Relative determinant threshold below which a basis counts as degenerate.
 DEG_TOL = 1e-12
 # Relative factor for "this conorm is negative" in a superbase a caller builds
-# or a vonorm triple, scaled by its max(vonorms); _check_conorms is its one use.
+# or a vonorm triple, scaled by its max(vonorms): ObtuseSuperbase and
+# conorms_from_vonorms test it.
 NEG_TOL = 1e-10
 # Relative factor for root-product ties (neutral/achiral detection); scaled
 # by the largest root product.
@@ -217,10 +218,17 @@ class ObtuseSuperbase(NamedTuple("ObtuseSuperbase", [("v0", Vec2), ("v1", Vec2),
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, v0: Vec2, v1: Vec2, v2: Vec2, reduction_steps: int = 0):
-        _check_superbase(v0, v1, v2)
-        self = tuple.__new__(cls, (v0, v1, v2, reduction_steps))
-        _check_conorms(conorms(self), vonorms(self), "superbase is not obtuse")
-        return self
+        # _check_superbase and the conorm test on plain floats, in one frame
+        x0, y0, x1, y1, x2, y2 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y
+        check_basis(x1, y1, x2, y2)
+        sx, sy = x0 + x1 + x2, y0 + y1 + y2
+        n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+        if math.hypot(sx, sy) > SUM_TOL * math.sqrt(max(n1, n2)):
+            raise ValueError(f"superbase vectors sum to ({sx:g}, {sy:g}), not zero")
+        c = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
+        if min(c) < -NEG_TOL * max(x0 * x0 + y0 * y0, n1, n2):
+            raise NegativeConorm(f"superbase is not obtuse: conorms {c}")
+        return tuple.__new__(cls, (v0, v1, v2, reduction_steps))
 
 
 def superbase_from_basis(b: Basis2) -> Superbase2:
@@ -260,13 +268,11 @@ def conorms_from_vonorms(n: VonormTriple) -> ConormTriple:
         0.5 * (n0 + n1 - n2),
         0.5 * (n0 + n2 - n1),
     )
-    _check_conorms(c, n, f"vonorms {tuple(n)} violate a triangle inequality")
-    return c
-
-
-def _check_conorms(c: ConormTriple, n: VonormTriple, what: str) -> None:
     if min(c) < -NEG_TOL * max(n):
-        raise NegativeConorm(f"{what}: conorms {tuple(c)}")
+        raise NegativeConorm(
+            f"vonorms {tuple(n)} violate a triangle inequality: conorms {tuple(c)}"
+        )
+    return c
 
 
 def lagrange_gauss(x1: float, y1: float, x2: float, y2: float):

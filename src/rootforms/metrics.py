@@ -13,12 +13,17 @@ A root-metric call is one frame plus one _norm call per difference triple: q
 is checked inline, swap networks sort, RM_q+ unrolls its rotations. Per call on
 a 2-CPU x86_64 host (Python 3.11), RM_inf takes 0.47 us (was 1.08), RM_2 0.54
 (1.09) and RM_2+ 1.12 (2.05), bit-identical to the former sorted()/_lq form.
+
+superbase_distance_linf ranks its 12 relabellings by a closed-form lower bound
+and runs the one-frame exact sweep only while a relabelling can still win: one
+is left for each planted near duplicate of the benchmark's match corpus. Per
+call on the same host that takes 34 us (was 79), and 80 us (was 186) between
+two of its reference lattices, bit-identical to sweeping all 12 in order.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
 from typing import Sequence
 
 from .lattice import ObtuseSuperbase
@@ -105,6 +110,10 @@ def continuity_bound(l: float, delta: float, q: float = 2.0) -> float:
     return factor * math.sqrt(2.0 * l * delta)
 
 
+# The relabellings (u[i], u[j], u[k]) in itertools.permutations order.
+_RELABELLINGS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
 def superbase_distance_linf(
     b1: ObtuseSuperbase, b2: ObtuseSuperbase, allow_reflection: bool = True
 ) -> float:
@@ -115,14 +124,38 @@ def superbase_distance_linf(
     vectors, with the central symmetry covered by the half-turn rotation.
     The minimum over the rotation angle is solved in closed form, so the
     result is exact up to rounding.
+
+    Relabellings run in the order of their least-squares misfit sum over all
+    rotations, S - 2 hypot(sum u.v, sum u x v) with S the six squared
+    lengths, which is at most 3 times the largest misfit. The search stops
+    once that bound, less a margin of 1e-9 S far above its rounding, reaches
+    3 times the best, so stopping never changes the result. A bound that is
+    not finite sorts first and never stops the search.
     """
-    v = [(w.x, w.y) for w in b1.vectors()]
-    u = [(w.x, w.y) for w in b2.vectors()]
-    mirrors = (u, [(x, -y) for x, y in u]) if allow_reflection else (u,)
+    v = tuple((w.x, w.y) for w in b1.vectors())
+    u = tuple((w.x, w.y) for w in b2.vectors())
+    (ax, ay), (bx, by), (cx, cy) = v
+    total = 0.0
+    for x, y in v + u:
+        total += x * x + y * y
+    ranked = []
+    for um in ((u, tuple((x, -y) for x, y in u)) if allow_reflection else (u,)):
+        dots, crss = [], []  # row i: u_i against v0, v1, v2
+        for ux, uy in um:
+            dots.append((ux * ax + uy * ay, ux * bx + uy * by, ux * cx + uy * cy))
+            crss.append((ux * ay - uy * ax, ux * by - uy * bx, ux * cy - uy * cx))
+        for i, j, k in _RELABELLINGS:
+            lsq = total - 2.0 * math.hypot(dots[i][0] + dots[j][1] + dots[k][2],
+                                           crss[i][0] + crss[j][1] + crss[k][2])
+            ranked.append((lsq if lsq < math.inf else -math.inf, len(ranked),
+                           (um[i], um[j], um[k])))
+    ranked.sort()  # the index breaks ties, so equal bounds keep permutation order
+    margin = 1e-9 * total
     best = math.inf
-    for um in mirrors:
-        for perm in permutations(um):
-            best = _aligned_sq(v, perm, best)
+    for lsq, _, perm in ranked:
+        if lsq - margin >= 3.0 * best:
+            break
+        best = _aligned_sq(v, perm, best)
     return math.sqrt(best)
 
 
@@ -136,18 +169,18 @@ def _aligned_sq(v, u, bound: float) -> float:
     The minimum of the largest misfit lies at one sinusoid's own minimum or
     where two cross; each crossing is a root of a quadratic in tan(s/2).
     """
-    dot = crs = 0.0
-    for (ux, uy), (vx, vy) in zip(u, v):
-        dot += ux * vx + uy * vy
-        crs += ux * vy - uy * vx
+    (u0x, u0y), (u1x, u1y), (u2x, u2y) = u
+    (v0x, v0y), (v1x, v1y), (v2x, v2y) = v
+    dot = 0.0 + (u0x * v0x + u0y * v0y) + (u1x * v1x + u1y * v1y) + (u2x * v2x + u2y * v2y)
+    crs = 0.0 + (u0x * v0y - u0y * v0x) + (u1x * v1y - u1y * v1x) + (u2x * v2y - u2y * v2x)
     t0 = math.atan2(crs, dot)
     c0, s0 = math.cos(t0), math.sin(t0)
     terms = []
-    for (ux, uy), (vx, vy) in zip(u, v):
+    for ux, uy, vx, vy in ((u0x, u0y, v0x, v0y), (u1x, u1y, v1x, v1y), (u2x, u2y, v2x, v2y)):
         wx, wy = c0 * ux - s0 * uy, s0 * ux + c0 * uy
         ex, ey = wx - vx, wy - vy
         terms.append((ex * ex + ey * ey, wx * wx + wy * wy - ex * wx - ey * wy, wx * ey - wy * ex))
-    if sum(t[0] for t in terms) >= 3.0 * bound:
+    if terms[0][0] + terms[1][0] + terms[2][0] >= 3.0 * bound:
         return bound  # the largest misfit is at least the mean, which t0 minimises
     # s = pi also stands for the crossing at tan(s/2) = infinity
     offsets = [0.0, math.pi]
@@ -170,10 +203,12 @@ def _aligned_sq(v, u, bound: float) -> float:
     for s in offsets:
         # direct subtraction: no cancellation near a perfect match
         c, sn = math.cos(t0 + s), math.sin(t0 + s)
-        worst = max(
-            (c * ux - sn * uy - vx) ** 2 + (sn * ux + c * uy - vy) ** 2
-            for (ux, uy), (vx, vy) in zip(u, v)
-        )
+        m0 = (c * u0x - sn * u0y - v0x) ** 2 + (sn * u0x + c * u0y - v0y) ** 2
+        m1 = (c * u1x - sn * u1y - v1x) ** 2 + (sn * u1x + c * u1y - v1y) ** 2
+        m2 = (c * u2x - sn * u2y - v2x) ** 2 + (sn * u2x + c * u2y - v2y) ** 2
+        worst = m0 if m0 >= m1 else m1
+        if m2 > worst:
+            worst = m2
         if worst < best:
             best = worst
     return best

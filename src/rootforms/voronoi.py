@@ -6,14 +6,14 @@ shortest members. The Voronoi domain is the intersection of the half-planes
 p . v <= v^2 / 2 over the Voronoi vectors.
 
 Input bases are first reduced with ``lattice.lagrange_gauss``, the helper
-``reduce_to_obtuse`` uses too. That only picks the enumeration basis: the
-search ball is sized from the basis it returns and holds every class minimum
-whatever basis of the lattice that is, so reducing only keeps the enumeration
-small. ``verify_partial_sums`` therefore judges a superbase against a
-brute-force enumeration, not against a second reduction, which lets it serve
-as an oracle for the reduction. Reported integer coefficients always refer
-to the original basis. VoronoiVector and VoronoiDomainPolygon are immutable
-named tuples.
+``reduce_to_obtuse`` uses too. That only picks the enumeration basis: each
+class is searched in a ball as long as one of its members, which holds the
+class minimum whatever basis of the lattice that is, so reducing only keeps
+the enumeration small. ``verify_partial_sums`` therefore judges a superbase
+against a brute-force enumeration, not against a second reduction, which
+lets it serve as an oracle for the reduction. Reported integer coefficients
+always refer to the original basis. VoronoiVector and VoronoiDomainPolygon
+are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .lattice import Basis2, Superbase2, Vec2, conorms, lagrange_gauss, vonorms,
 TIE_TOL = 1e-9
 # Vertices of the clipped polygon merge below this scale-relative distance.
 VERTEX_TOL = 1e-9
-SEARCH_RADIUS_FACTOR = 4.0
 
 
 class VoronoiVector(NamedTuple):
@@ -55,36 +54,39 @@ class VoronoiDomainPolygon(NamedTuple):
 def voronoi_vectors(b: Basis2) -> list[VoronoiVector]:
     """All shortest members of the three nonzero classes modulo 2*lattice.
 
-    Enumerates every lattice vector up to SEARCH_RADIUS_FACTOR times the
-    longer reduced basis vector, buckets nonzero vectors by coefficient
-    parity, and keeps each bucket's shortest members (ties within TIE_TOL
-    relative). A bucket whose shortest members are exactly one +- pair is
-    strict.
+    Each class is searched on its own, in the ball of radius 1 + 2 TIE_TOL
+    times a member the reduced basis (u1, u2) gives: u1 for coefficients
+    (1, 0), u2 for (0, 1), the shorter of u1 +- u2 for (1, 1). A class
+    minimum is no longer than any member, so the ball holds all its shortest
+    members. Row c visits only the a with |a u1 + c u2| <= radius, solved
+    from the quadratic, plus one each side. Each class keeps its shortest
+    members (ties within TIE_TOL relative); one whose shortest members are
+    exactly one +- pair is strict.
     """
     (x1, y1, x2, y2), (m1, m2), _ = lagrange_gauss(b.v1.x, b.v1.y, b.v2.x, b.v2.y)
-    u1, u2 = Vec2(x1, y1), Vec2(x2, y2)
-    radius = SEARCH_RADIUS_FACTOR * max(u1.norm(), u2.norm())
-    det = abs(u1.cross(u2))
-    amax = int(math.floor(radius * u2.norm() / det)) + 1
-    bmax = int(math.floor(radius * u1.norm() / det)) + 1
-
-    candidates: dict[tuple[int, int], list[tuple[float, int, int, Vec2]]] = {
-        (1, 0): [], (0, 1): [], (1, 1): []
-    }
-    for a in range(-amax, amax + 1):
-        for c in range(-bmax, bmax + 1):
-            cls = (a & 1, c & 1)
-            if cls == (0, 0):
-                continue
-            w = Vec2(a * u1.x + c * u2.x, a * u1.y + c * u2.y)
-            n = w.norm()
-            if n <= radius:
-                candidates[cls].append((n, a, c, w))
+    n1 = math.hypot(x1, y1)
+    # |a u1 + c u2|^2 = |u1|^2 ((a + c mu)^2 + (c delta)^2), from u1 and u2 over |u1|
+    e1x, e1y, e2x, e2y = x1 / n1, y1 / n1, x2 / n1, y2 / n1
+    mu, delta = e1x * e2x + e1y * e2y, abs(e1x * e2y - e1y * e2x)
+    known = {(1, 0): n1, (0, 1): math.hypot(x2, y2),
+             (1, 1): min(math.hypot(x1 + x2, y1 + y2), math.hypot(x1 - x2, y1 - y2))}
 
     out: list[VoronoiVector] = []
-    for cls in ((1, 0), (0, 1), (1, 1)):
-        nmin = min(m[0] for m in candidates[cls])
-        members = [m for m in candidates[cls] if m[0] <= nmin * (1.0 + TIE_TOL)]
+    for (pa, pc), norm in known.items():
+        radius = norm * (1.0 + 2.0 * TIE_TOL)
+        rho = radius / n1
+        candidates = []
+        cmax = int(rho / delta) + 1
+        for c in range(-cmax - (cmax + pc) % 2, cmax + 1, 2):  # every c of parity pc
+            half = math.sqrt(max(rho * rho - (c * delta) ** 2, 0.0))
+            lo = math.floor(-c * mu - half) - 1
+            for a in range(lo + (lo + pa) % 2, math.ceil(-c * mu + half) + 2, 2):
+                w = Vec2(a * x1 + c * x2, a * y1 + c * y2)
+                n = w.norm()
+                if n <= radius:
+                    candidates.append((n, a, c, w))
+        nmin = min(m[0] for m in candidates)
+        members = [m for m in candidates if m[0] <= nmin * (1.0 + TIE_TOL)]
         coeff_set = {(a, c) for _, a, c, _ in members}
         strict = len(coeff_set) == 2 and all((-a, -c) in coeff_set for a, c in coeff_set)
         for _, a, c, w in sorted(members, key=lambda m: (m[1], m[2])):

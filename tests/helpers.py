@@ -9,6 +9,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from rootforms import (
     reconstruct_superbase,
     vonorms,
 )
-from rootforms.lattice import NEG_TOL, SIGN_TOL
+from rootforms.lattice import NEG_TOL, SIGN_TOL, lagrange_gauss
 from rootforms.records import GridSpec, format_number
+from rootforms.voronoi import TIE_TOL, VoronoiVector
 
 ULP = 2.0 ** -52
 
@@ -277,6 +279,98 @@ def reference_root_metric_oriented(a, b, q: float = 2.0) -> float:
         if d < best:
             best = d
     return best
+
+
+# Reference exact alignment: superbase_distance_linf and _aligned_sq as they
+# were before the relabellings were ranked by a lower bound, running all 12
+# in itertools.permutations order. The ranked search must return the same bits.
+
+
+def reference_superbase_distance_linf(b1, b2, allow_reflection: bool = True) -> float:
+    v = [(w.x, w.y) for w in b1.vectors()]
+    u = [(w.x, w.y) for w in b2.vectors()]
+    mirrors = (u, [(x, -y) for x, y in u]) if allow_reflection else (u,)
+    best = math.inf
+    for um in mirrors:
+        for perm in permutations(um):
+            best = _reference_aligned_sq(v, perm, best)
+    return math.sqrt(best)
+
+
+def _reference_aligned_sq(v, u, bound: float) -> float:
+    dot = crs = 0.0
+    for (ux, uy), (vx, vy) in zip(u, v):
+        dot += ux * vx + uy * vy
+        crs += ux * vy - uy * vx
+    t0 = math.atan2(crs, dot)
+    c0, s0 = math.cos(t0), math.sin(t0)
+    terms = []
+    for (ux, uy), (vx, vy) in zip(u, v):
+        wx, wy = c0 * ux - s0 * uy, s0 * ux + c0 * uy
+        ex, ey = wx - vx, wy - vy
+        terms.append((ex * ex + ey * ey, wx * wx + wy * wy - ex * wx - ey * wy, wx * ey - wy * ex))
+    if sum(t[0] for t in terms) >= 3.0 * bound:
+        return bound
+    offsets = [0.0, math.pi]
+    for i, (e_i, p_i, q_i) in enumerate(terms):
+        offsets.append(math.atan2(-q_i, p_i))
+        for e_j, p_j, q_j in terms[i + 1:]:
+            a, b, c = e_i - e_j + 4.0 * (p_i - p_j), 4.0 * (q_i - q_j), e_i - e_j
+            m = max(abs(a), abs(b), abs(c))
+            if m == 0.0:
+                continue
+            a, b, c = a / m, b / m, c / m
+            disc = b * b - 4.0 * a * c
+            if disc < 0.0:
+                continue
+            h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            for num, den in ((h, a), (c, h)):
+                if den != 0.0:
+                    offsets.append(2.0 * math.atan(num / den))
+    best = bound
+    for s in offsets:
+        c, sn = math.cos(t0 + s), math.sin(t0 + s)
+        worst = max(
+            (c * ux - sn * uy - vx) ** 2 + (sn * ux + c * uy - vy) ** 2
+            for (ux, uy), (vx, vy) in zip(u, v)
+        )
+        if worst < best:
+            best = worst
+    return best
+
+
+# Reference Voronoi enumeration: voronoi_vectors as it was before each class
+# got its own search ball, enumerating every lattice vector up to 4 times the
+# longer reduced basis vector, O(aspect) of them. The per-class search must
+# return the same list.
+
+
+def reference_voronoi_vectors(b: Basis2):
+    (x1, y1, x2, y2), (m1, m2), _ = lagrange_gauss(b.v1.x, b.v1.y, b.v2.x, b.v2.y)
+    u1, u2 = Vec2(x1, y1), Vec2(x2, y2)
+    radius = 4.0 * max(u1.norm(), u2.norm())
+    det = abs(u1.cross(u2))
+    amax = int(math.floor(radius * u2.norm() / det)) + 1
+    bmax = int(math.floor(radius * u1.norm() / det)) + 1
+    candidates = {(1, 0): [], (0, 1): [], (1, 1): []}
+    for a in range(-amax, amax + 1):
+        for c in range(-bmax, bmax + 1):
+            cls = (a & 1, c & 1)
+            if cls == (0, 0):
+                continue
+            w = Vec2(a * u1.x + c * u2.x, a * u1.y + c * u2.y)
+            n = w.norm()
+            if n <= radius:
+                candidates[cls].append((n, a, c, w))
+    out = []
+    for cls in ((1, 0), (0, 1), (1, 1)):
+        nmin = min(m[0] for m in candidates[cls])
+        members = [m for m in candidates[cls] if m[0] <= nmin * (1.0 + TIE_TOL)]
+        coeff_set = {(a, c) for _, a, c, _ in members}
+        strict = len(coeff_set) == 2 and all((-a, -c) in coeff_set for a, c in coeff_set)
+        for _, a, c, w in sorted(members, key=lambda m: (m[1], m[2])):
+            out.append(VoronoiVector((a * m1[0] + c * m2[0], a * m1[1] + c * m2[1]), w, strict))
+    return out
 
 
 # Reference alignment for rootforms.metrics.superbase_distance_linf: the

@@ -1,6 +1,7 @@
 """Core lattice machinery: superbases, reduction, conorms, root forms, signs."""
 
 import math
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -95,8 +96,10 @@ class TestSuperbaseFromBasis:
             basis(*coords)
         assert type(info.value) is LatticeError
         x1, y1, x2, y2 = coords
-        with pytest.raises(LatticeError, match="^coordinates overflow"):
-            Superbase2(Vec2(-x1 - x2, -y1 - y2), Vec2(x1, y1), Vec2(x2, y2))
+        for cls in (Superbase2, ObtuseSuperbase):
+            with pytest.raises(LatticeError, match="^coordinates overflow") as info:
+                cls(Vec2(-x1 - x2, -y1 - y2), Vec2(x1, y1), Vec2(x2, y2))
+            assert type(info.value) is LatticeError
 
 
     def test_overflowing_sum_rejected(self):
@@ -165,7 +168,9 @@ class TestConormsVonorms:
             assert back == pytest.approx(tuple(p), rel=1e-12, abs=1e-12)
 
     def test_triangle_violation_raises(self):
-        with pytest.raises(NegativeConorm):
+        with pytest.raises(NegativeConorm, match=re.escape(
+                "vonorms (10.0, 1.0, 1.0) violate a triangle inequality: "
+                "conorms (-4.0, 5.0, 5.0)")):
             conorms_from_vonorms(VonormTriple(10.0, 1.0, 1.0))
 
 
@@ -459,9 +464,11 @@ class TestObtuseInvariants:
             assert n2 <= n0 + n1 + slack
 
     def test_two_zero_conorms_rejected(self):
-        with pytest.raises((DegenerateLattice, DegenerateBasis)):
+        with pytest.raises(DegenerateBasis,
+                           match=r"^basis determinant 0 below tolerance for scale 1$"):
             ObtuseSuperbase(Vec2(-1, 0), Vec2(1, 0), Vec2(0, 0))
 
     def test_superbase_must_sum_to_zero(self):
-        with pytest.raises(ValueError):
-            Superbase2(Vec2(1, 0), Vec2(1, 0), Vec2(0, 1))
+        for cls in (Superbase2, ObtuseSuperbase):
+            with pytest.raises(ValueError, match=r"^superbase vectors sum to \(2, 1\), not zero$"):
+                cls(Vec2(1, 0), Vec2(1, 0), Vec2(0, 1))

@@ -17,6 +17,7 @@ from helpers import (
     reference_check_order,
     reference_root_metric,
     reference_root_metric_oriented,
+    reference_superbase_distance_linf,
 )
 from rootforms import (
     LatticeSign,
@@ -391,6 +392,10 @@ def _disguised_near_duplicate(rng, s, delta):
     return ObtuseSuperbase(*(vs[i] for i in order))
 
 
+ALIGNMENT_FAMILIES = ["random", "near", "near_1e100", "near_1e-100",
+                      "square", "hexagonal", "rectangular", "isosceles"]
+
+
 def _alignment_pairs(family, rng):
     if family == "random":
         for _ in range(40):
@@ -410,10 +415,7 @@ def _alignment_pairs(family, rng):
         yield s, _disguised_near_duplicate(rng, s, 10.0 ** rng.uniform(-12, -1))
 
 
-@pytest.mark.parametrize("family", [
-    "random", "near", "near_1e100", "near_1e-100",
-    "square", "hexagonal", "rectangular", "isosceles",
-])
+@pytest.mark.parametrize("family", ALIGNMENT_FAMILIES)
 def test_alignment_matches_sampled_reference(family):
     # the reference is an upper bound on the true minimum: the closed form
     # may undercut it a little, never exceed it beyond rounding
@@ -425,6 +427,35 @@ def test_alignment_matches_sampled_reference(family):
             ref = oracle_superbase_distance_linf(s, t, allow_reflection=reflect)
             assert exact <= ref + 1e-15 * scale, (family, reflect)
             assert ref - exact <= 1e-9 * scale, (family, reflect)
+
+
+@pytest.mark.parametrize("family", ALIGNMENT_FAMILIES)
+def test_ranked_alignment_is_bit_identical_to_the_full_search(family):
+    # ranking the relabellings by their lower bound and stopping early must
+    # not move a bit, also where several relabellings tie (the four lattices)
+    rng = make_rng(7000 + sum(map(ord, family)))
+    for s, t in _alignment_pairs(family, rng):
+        for reflect in (True, False):
+            got = superbase_distance_linf(s, t, allow_reflection=reflect)
+            assert got == reference_superbase_distance_linf(s, t, reflect), (family, reflect)
+
+
+@pytest.mark.parametrize("e", [150, 153, 153.8, 154])
+def test_alignment_near_the_float_maximum_matches_the_full_search(e):
+    # at e = 154 the six squared lengths sum past the float maximum, so every
+    # bound is inf or NaN: all twelve relabellings must stay in play
+    k = 10.0 ** (e - 154)
+    s = reconstruct_superbase(RootForm(0.3e154 * k, 0.5e154 * k, 0.55e154 * k))
+    m = reconstruct_superbase(RootForm(0.3e154 * k, 0.5e154 * k, 0.5505e154 * k),
+                              LatticeSign.NEGATIVE)
+    v0, v1, v2 = (w.rotated(1.0) for w in m.vectors())
+    t = ObtuseSuperbase(v1, v2, v0)
+    total = sum(w.norm_sq() for w in (*s.vectors(), *t.vectors()))
+    assert (total == INF) is (e == 154)
+    for reflect in (True, False):
+        got = superbase_distance_linf(s, t, allow_reflection=reflect)
+        assert got == reference_superbase_distance_linf(s, t, reflect), reflect
+        assert 0.0 < got < INF
 
 
 class TestInverseContinuity:

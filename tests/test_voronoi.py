@@ -1,10 +1,17 @@
 """Brute-force Voronoi oracle: vectors, domains, superbase cross-checks."""
 
 import math
+import tracemalloc
 
 import pytest
 
-from helpers import apply_unimodular, make_rng, random_basis, random_unimodular
+from helpers import (
+    apply_unimodular,
+    make_rng,
+    random_basis,
+    random_unimodular,
+    reference_voronoi_vectors,
+)
 from rootforms import (
     Basis2,
     Superbase2,
@@ -52,6 +59,52 @@ class TestVoronoiVectors:
                     c1 * b.v1.x + c2 * b.v2.x, c1 * b.v1.y + c2 * b.v2.y
                 )
                 assert (rebuilt - v.vector).norm() <= 1e-9 * max(1.0, v.vector.norm())
+
+
+def _rotated_pair(angle, x2, y2):
+    """Basis ((1, 0), (x2, y2)) rotated by angle."""
+    c, s = math.cos(angle), math.sin(angle)
+    return Basis2(Vec2(c, s), Vec2(c * x2 - s * y2, s * x2 + c * y2))
+
+
+def _search_bases(family, rng):
+    for _ in range(60):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        if family == "random":
+            yield apply_unimodular(random_basis(rng), random_unimodular(rng))
+        elif family == "thin":
+            aspect = 10.0 ** rng.uniform(0.0, 3.0)
+            b = _rotated_pair(angle, rng.uniform(-0.5, 0.5), aspect)
+            yield apply_unimodular(b, random_unimodular(rng, shears=2, kmax=2))
+        elif family == "near_rectangular":
+            eps = 10.0 ** rng.uniform(-14.0, -2.0) * rng.choice([-1.0, 1.0])
+            yield _rotated_pair(angle, eps, rng.uniform(0.5, 2.0))
+        else:  # near hexagonal
+            t = 2.0 * math.pi / 3.0 + 10.0 ** rng.uniform(-14.0, -2.0) * rng.choice([-1.0, 1.0])
+            b = _rotated_pair(angle, math.cos(t), math.sin(t))
+            yield apply_unimodular(b, random_unimodular(rng, shears=3))
+
+
+class TestPerClassSearch:
+    @pytest.mark.parametrize("family", ["random", "thin", "near_rectangular", "hexagonal"])
+    def test_equals_the_full_enumeration(self, family):
+        # each class's own ball, sized from a member the reduced basis gives,
+        # finds exactly the members, ties and strictness the big ball did
+        rng = make_rng(9100 + sum(map(ord, family)))
+        for b in _search_bases(family, rng):
+            assert voronoi_vectors(b) == reference_voronoi_vectors(b), b
+
+    def test_thin_lattice_search_stays_small(self):
+        # the full enumeration held O(aspect) vectors here (over 100 MiB)
+        tracemalloc.start()
+        try:
+            vvs = voronoi_vectors(Basis2(Vec2(1e-4, 0.0), Vec2(0.0, 1.0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert rounded_vectors(vvs, strict=True) == {(1e-4, 0), (-1e-4, 0), (0, 1), (0, -1)}
+        assert len(vvs) == 8
 
 
 class TestVoronoiDomain:
