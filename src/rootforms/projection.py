@@ -62,7 +62,11 @@ def to_full_triangle(rf: RootForm) -> BarycentricTriple:
 
 def qt_coords(r12: float, r01: float, r02: float) -> tuple[float, float]:
     """Quotient-triangle (x, y) of an ascending root-product triple, on floats."""
-    b12, b01, b02 = _shares(r12, r01, r02)
+    total = r12 + r01 + r02
+    if 0.0 < total < math.inf:  # _shares' own first case, inline: one frame fewer per point
+        b12, b01, b02 = r12 / total, r01 / total, r02 / total
+    else:
+        b12, b01, b02 = _shares(r12, r01, r02)
     # b12 is the smallest of three shares summing to 1, so at most 1/3;
     # rounding can leave it one ulp above, outside the triangle
     return 0.5 * (b02 - b01), min(b12, 1.0 / 3.0)

@@ -5,6 +5,7 @@ Everything takes an explicit numpy Generator so each test pins its own seed.
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 from array import array
@@ -24,8 +25,10 @@ from rootforms import (
     reconstruct_superbase,
     vonorms,
 )
-from rootforms.lattice import NEG_TOL, SIGN_TOL, lagrange_gauss
-from rootforms.records import GridSpec, format_number
+from rootforms.errors import DegenerateLattice, ParseError
+from rootforms.lattice import NEG_TOL, SIGN_TOL, lagrange_gauss, oriented_root_products
+from rootforms.records import (KINDS, DensityGrid, GridSpec, LatticeRecord, basis_coords,
+                               format_number)
 from rootforms.voronoi import TIE_TOL, VoronoiVector
 
 ULP = 2.0 ** -52
@@ -497,3 +500,142 @@ def oracle_grid_bytes(points, spec: GridSpec) -> tuple[bytes, bytes, int]:
             image.byteswap()  # PGM stores 16-bit samples big-endian
         pgm += image.tobytes()
     return csv, pgm, overflow
+
+
+# The record parser, binning, QT shares and grid emitters as they were before
+# the parser got its one-comparison fast path, qt_coords its inline shares,
+# accumulate_grid its unpacked spec and the emitters their one buffer of the
+# file's size. The package must give exactly their results, and their errors
+# by class, line and reason.
+
+
+def reference_parse_record_line(text: str, line: int) -> LatticeRecord | None:
+    body = text.partition("#")[0].strip()
+    if not body:
+        return None
+    fields = body.split(",")
+    if len(fields) < 2:
+        raise ParseError(line, "expected id,kind,params...")
+    rec_id, kind, raw = fields[0].strip(), fields[1].strip(), fields[2:]
+    if not rec_id:
+        raise ParseError(line, "empty record id")
+    arity = KINDS.get(kind)
+    if arity is None:
+        raise ParseError(line, f"unknown kind {kind!r}")
+    if len(raw) != arity:
+        raise ParseError(line, f"kind {kind!r} takes {arity} parameters, got {len(raw)}")
+    try:
+        params = tuple(map(float, raw))
+    except ValueError:
+        raw = [f.strip() for f in raw]
+        try:
+            params = tuple(map(float, raw))
+        except ValueError:
+            raise ParseError(line, f"non-numeric parameter in {raw}") from None
+    if not all(map(math.isfinite, params)):
+        raise ParseError(line, "non-finite parameter")
+
+    if kind == "cell2":
+        _reference_check_lengths(params[:2], line)
+        _reference_check_angle(params[2], line)
+    elif kind == "ortho3":
+        _reference_check_lengths(params, line)
+    elif kind == "mono3":
+        _reference_check_lengths(params[:3], line)
+        _reference_check_angle(params[3], line)
+    return LatticeRecord(rec_id, kind, params, line)
+
+
+def _reference_check_lengths(values, line: int) -> None:
+    for v in values:
+        if v <= 0.0:
+            raise ParseError(line, f"nonpositive length {v:g}")
+
+
+def _reference_check_angle(angle: float, line: int) -> None:
+    if not 0.0 < angle < 180.0:
+        raise ParseError(line, f"angle {angle:g} outside (0, 180) degrees")
+
+
+def reference_record_forms(rec: LatticeRecord):
+    """cli._record_forms through the public kernel entry."""
+    _, orf, sign, _ = oriented_root_products(*basis_coords(rec))
+    return rec.id, orf, sign
+
+
+def reference_shares(a: float, b: float, c: float) -> tuple[float, float, float]:
+    total = a + b + c
+    if not 0.0 < total < math.inf:
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise ValueError(f"non-finite root product in {(a, b, c)}")
+        if total <= 0.0:
+            raise DegenerateLattice("root products sum to zero")
+        a, b, c = 0.25 * a, 0.25 * b, 0.25 * c
+        total = a + b + c
+    return a / total, b / total, c / total
+
+
+def reference_qt_coords(r12: float, r01: float, r02: float) -> tuple[float, float]:
+    b12, b01, b02 = reference_shares(r12, r01, r02)
+    return 0.5 * (b02 - b01), min(b12, 1.0 / 3.0)
+
+
+def reference_accumulate_grid(points, spec: GridSpec) -> DensityGrid:
+    res = spec.resolution
+    counts: dict[int, int] = {}
+    overflow = 0
+    x_span = spec.x_max - spec.x_min
+    y_span = spec.y_max - spec.y_min
+    for x, y in points:
+        if not (spec.x_min <= x <= spec.x_max and spec.y_min <= y <= spec.y_max):
+            overflow += 1
+            continue
+        ix = min(int(math.floor((x - spec.x_min) / x_span * res)), res - 1)
+        iy = min(int(math.floor((y - spec.y_min) / y_span * res)), res - 1)
+        k = (res - 1 - iy) * res + ix
+        counts[k] = counts.get(k, 0) + 1
+    return DensityGrid(spec, counts, overflow)
+
+
+def reference_emit_grid(grid: DensityGrid, fmt: str) -> bytes:
+    return {"csv": _reference_emit_csv, "pgm": _reference_emit_pgm}[fmt](grid)
+
+
+def _reference_emit_csv(grid: DensityGrid) -> bytes:
+    s = grid.spec
+    res = s.resolution
+    header = [format_number(v) for v in (s.x_min, s.x_max, s.y_min, s.y_max)] + [str(res)]
+    row = b"0," * (res - 1) + b"0\n"
+    body = bytearray(len(row) * res)
+    for start in range(0, len(body), len(row)):
+        body[start:start + len(row)] = row
+    wide = []
+    for k, c in grid.counts.items():
+        if 0 <= c < 10:
+            body[2 * k] = 48 + c
+        else:
+            wide.append(k)
+    out, view, start = io.BytesIO(), memoryview(body), 0
+    out.write(",".join(header).encode("ascii") + b"\n")
+    for k in sorted(wide):
+        out.write(view[start:2 * k])
+        out.write(str(grid.counts[k]).encode("ascii"))
+        start = 2 * k + 1
+    out.write(view[start:])
+    return out.getvalue()
+
+
+def _reference_emit_pgm(grid: DensityGrid) -> bytes:
+    res = grid.spec.resolution
+    max_count = max(grid.counts.values(), default=0)
+    maxval = min(65535, max(max_count, 1))
+    scale = maxval / max_count if max_count > maxval else None
+    image = bytearray(res * res if maxval <= 255 else 2 * res * res)
+    for k, c in grid.counts.items():
+        if maxval <= 255:
+            image[k] = c
+        else:
+            v = c if scale is None else round(c * scale)
+            image[2 * k] = v >> 8
+            image[2 * k + 1] = v & 255
+    return f"P5\n{res} {res}\n{maxval}\n".encode("ascii") + image

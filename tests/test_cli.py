@@ -1020,6 +1020,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up there
     spec.loader.exec_module(module)
     return module
 
@@ -1091,3 +1092,88 @@ class TestBenchmarkTrace:
         assert sum(tracer.failed().values()) == 1
         assert any(span[0] == "cli.record_forms" for span in tracer.spans)
         assert cli._record_forms.__name__ == "_record_forms"  # unwrapped again
+
+
+@pytest.fixture(scope="module")
+def grid_corpus_lines():
+    """The benchmark's grid_corpus(seed 1, 6000) as record lines."""
+    return [item.line for item in _load_perfbench("corpus").grid_corpus(1, 6000)]
+
+
+class TestPipelineMatchesTheReference:
+    """Each CLI run on the benchmark corpus, with bad lines injected, writes the
+    bytes and warnings of the same run through the parent's parser, kernel
+    entry, QT shares, binning and emitters (tests/helpers.py)."""
+
+    BAD = ["angle,cell2,1,1,180", "zero,ortho3,0,1,2", "collinear,basis,1,0,2,0",
+           "nan,mono3,1,2,3,nan", "odd,wedge,1,2,3", "", "# comment", "short,basis,1,0,0",
+           "flat,cell2,1,1,1e-12", ",basis,1,0,0,1", "huge,basis,1e200,1e200,1e200,2e200",
+           "\x1fsep\x1f,\x1fmono3\x1f,\x1f6\x1f,9,8,\x1f105\x1f", "neg,mono3,1,2,3,-0"]
+    COMMANDS = {
+        "grid-qt": ["grid", "--mode", "qt", "--res", "1000", "--pgm", "{pgm}", "--lenient"],
+        "grid-qt-strict": ["grid", "--mode", "qt", "--res", "1000"],
+        "grid-rootpair": ["grid", "--mode", "rootpair", "--pgm", "{pgm}", "--lenient"],
+        "rootform": ["rootform", "--lenient"],
+        "rootform-oriented": ["rootform", "--oriented", "--lenient"],
+        "qt-signed": ["qt", "--signed", "--lenient"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bytes_and_warnings(self, tmp_path, capsys, monkeypatch, grid_corpus_lines, command):
+        import helpers
+        from rootforms import records
+
+        lines = list(grid_corpus_lines)
+        for i, line in enumerate(self.BAD):
+            lines.insert(450 * (i + 1), line)
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        runs = []
+        for reference in (False, True):
+            out, pgm = tmp_path / f"out{reference}", tmp_path / f"out{reference}.pgm"
+            argv = [self.COMMANDS[command][0], "-i", str(src), "-o", str(out)]
+            argv += [a.format(pgm=pgm) for a in self.COMMANDS[command][1:]]
+            with monkeypatch.context() as m:
+                if reference:
+                    m.setattr(records, "parse_record_line", helpers.reference_parse_record_line)
+                    m.setattr(cli, "_record_forms", helpers.reference_record_forms)
+                    m.setattr("rootforms.projection.qt_coords", helpers.reference_qt_coords)
+                    m.setattr(cli, "accumulate_grid", helpers.reference_accumulate_grid)
+                    m.setattr(cli, "emit_grid", helpers.reference_emit_grid)
+                code, stdout, stderr = run(capsys, *argv)
+            files = [p.read_bytes() if p.exists() else None for p in (out, pgm)]
+            runs.append((code, stdout, stderr, files))
+        assert runs[0] == runs[1]
+        code, _, stderr, files = runs[0]
+        if command.endswith("strict"):
+            assert code == 1 and files == [None, None]
+            assert stderr.startswith("error: line 451: angle 180")
+        else:
+            assert code == 0 and stderr.count("warning: skipped") == 10
+            rows = {"grid-qt": 1001, "grid-rootpair": 201}.get(command, 6002)  # 6001 records
+            assert files[0].count(b"\n") == rows
+
+
+def test_a_grid_record_costs_at_most_ten_python_calls():
+    # a count of Python frames (calls and generator resumes), not a timing:
+    # the record loop of grid --mode qt took 13.8 per record before its parse,
+    # kernel entry and QT shares each lost one or two
+    from rootforms.projection import qt_coords
+    from rootforms.records import GridSpec, accumulate_grid, iter_records
+
+    lines = [item.line + "\n" for item in _load_perfbench("corpus").grid_corpus(1, 600)]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    rows = iter_records(lines, cli._record_forms, True)
+    points = (qt_coords(*sorted(orf)) for _, orf, _ in rows)
+    sys.setprofile(count)
+    try:
+        grid = accumulate_grid(points, GridSpec(0.0, 0.5, 0.0, 1.0 / 3.0, 1000))
+    finally:
+        sys.setprofile(None)
+    assert sum(grid.counts.values()) == 600 and grid.overflow_count == 0
+    assert calls <= 10 * 600, calls / 600
