@@ -21,7 +21,7 @@ import argparse
 import sys
 
 from .errors import LatticeError
-from .lattice import (Basis2, LatticeSign, Vec2, _oriented_root_products, check_basis,
+from .lattice import (_NEGATIVE, Basis2, Vec2, _oriented_root_products, check_basis,
                       oriented_root_form, oriented_root_products, root_form_from_values)
 from .records import (GridSpec, LatticeRecord, accumulate_grid, basis_coords, emit_grid,
                       format_number as fmt, iter_records)
@@ -134,7 +134,7 @@ def _cmd_qt(args) -> int:
     def rows():
         for rec_id, orf, sign in _process_records(args):
             x, y = qt_coords(*sorted(orf))
-            x = -x if args.signed and sign is LatticeSign.NEGATIVE else x
+            x = -x if args.signed and sign is _NEGATIVE else x
             yield f"{rec_id},{fmt(x)},{fmt(y)}"
 
     return _write_rows(args.output, "id,x,y", rows())

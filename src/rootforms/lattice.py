@@ -143,6 +143,10 @@ class LatticeSign(Enum):
     NEGATIVE = "negative"
 
 
+# The members as module globals: a global load, where LatticeSign.X looks up the class
+_NEUTRAL, _POSITIVE, _NEGATIVE = LatticeSign.NEUTRAL, LatticeSign.POSITIVE, LatticeSign.NEGATIVE
+
+
 def check_basis(x1: float, y1: float, x2: float, y2: float) -> None:
     """The one entry check, which Basis2, Superbase2 and the float kernel share.
 
@@ -358,8 +362,8 @@ def _obtuse_root_products(x0, y0, x1, y1, x2, y2):
         raise DegenerateLattice(f"two conorms vanish: {(p12, p01, p02)}")
     tol = SIGN_TOL * hi
     if lo <= tol or mid - lo <= tol or hi - mid <= tol:
-        return (lo, mid, hi), LatticeSign.NEUTRAL
-    return (lo, b, c), LatticeSign.POSITIVE if b < c else LatticeSign.NEGATIVE
+        return (lo, mid, hi), _NEUTRAL
+    return (lo, b, c), _POSITIVE if b < c else _NEGATIVE
 
 
 def reduce_to_obtuse(s: Superbase2) -> ObtuseSuperbase:
@@ -401,8 +405,10 @@ def oriented_root_form(b: Basis2) -> tuple[OrientedRootForm, LatticeSign]:
     is positive when the last two entries ascend, negative when they descend,
     and neutral when the lattice is achiral (then the triple is fully sorted).
     """
-    _, w, sign, _ = _oriented_root_products(*b.v1, *b.v2)
-    return OrientedRootForm(*w), sign
+    x1, y1 = b.v1
+    x2, y2 = b.v2
+    _, w, sign, _ = _oriented_root_products(x1, y1, x2, y2)
+    return tuple.__new__(OrientedRootForm, w), sign  # the named tuple's __new__ is a frame more
 
 
 def orient_obtuse(obt: ObtuseSuperbase) -> tuple[OrientedRootForm, LatticeSign]:

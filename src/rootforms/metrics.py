@@ -6,19 +6,21 @@ metric takes the minimum over the three cyclic rotations. The superbase
 distance is the minimax vector alignment over orthogonal maps and superbase
 symmetries; the best rotation angle is solved in closed form.
 
-q is any real >= 1; math.inf selects the max norm. Root-product entries must
-be finite and nonnegative, else the root metrics raise ValueError.
+q is anything float() accepts whose value is at least 1 ("2", True and
+Decimal("2.5") are orders; NaN is not); math.inf selects the max norm. Entries
+must be finite and nonnegative, else the root metrics raise ValueError.
 
-A root-metric call is one frame plus one _norm call per difference triple: q
-is checked inline, swap networks sort, RM_q+ unrolls its rotations. Per call on
-a 2-CPU x86_64 host (Python 3.11), RM_inf takes 0.47 us (was 1.08), RM_2 0.54
-(1.09) and RM_2+ 1.12 (2.05), bit-identical to the former sorted()/_lq form.
+A root-metric call at q = 2 or inf runs in one frame: q is checked inline,
+swap networks sort, RM_q+ unrolls its rotations, and only other q call _norm.
+Per call on the benchmark's match corpus (2-CPU x86_64 host, Python 3.11,
+medians of 200 rounds) RM_inf takes 0.86 us (was 0.96), RM_2 1.03 (1.11) and
+RM_2+ 1.73 (2.02), bit-identical to the former form.
 
 superbase_distance_linf ranks its 12 relabellings by a closed-form lower bound
 and runs the one-frame exact sweep only while a relabelling can still win: one
-is left for each planted near duplicate of the benchmark's match corpus. Per
-call on the same host that takes 34 us (was 79), and 80 us (was 186) between
-two of its reference lattices, bit-identical to sweeping all 12 in order.
+is left for each planted near duplicate of that corpus. A call takes 35 us
+there (was 43) and 93 us (99) between two of its reference lattices, on the
+same host, bit-identical to sweeping all 12 in order.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import math
 from typing import Sequence
 
 from .lattice import ObtuseSuperbase
+
+_INF = math.inf
 
 
 def _check_order(q: float) -> float:
@@ -37,19 +41,10 @@ def _check_order(q: float) -> float:
 
 
 def _norm(d0: float, d1: float, d2: float, q: float) -> float:
-    """L_q norm of a finite nonnegative triple, summed in sorted order.
+    """L_q norm, the largest entry factored out, of an ascending finite nonnegative triple.
 
-    The fixed order makes d(a, b) == d(b, a) bit-exact at every q (math.hypot
-    does not promise order independence); other q factor the largest entry out.
+    The callers, which handle q = 2 and inf, sort it: so d(a, b) == d(b, a) bit-exactly.
     """
-    if q == math.inf:
-        d0 = d0 if d0 >= d1 else d1
-        return d0 if d0 >= d2 else d2
-    if d0 > d1: d0, d1 = d1, d0  # a three-comparison swap network sorts as sorted() does
-    if d1 > d2: d1, d2 = d2, d1
-    if d0 > d1: d0, d1 = d1, d0
-    if q == 2.0:
-        return math.hypot(d0, d1, d2)
     if q == 1.0:
         return d0 + d1 + d2
     if d2 == 0.0:  # nothing to factor out
@@ -73,9 +68,15 @@ def root_metric(a: Sequence[float], b: Sequence[float], q: float = 2.0) -> float
     if b0 > b1: b0, b1 = b1, b0
     if b1 > b2: b1, b2 = b2, b1
     if b0 > b1: b0, b1 = b1, b0
-    if not (0.0 <= a0 <= a1 <= a2 < math.inf and 0.0 <= b0 <= b1 <= b2 < math.inf):
+    if not (0.0 <= a0 <= a1 <= a2 < _INF and 0.0 <= b0 <= b1 <= b2 < _INF):
         raise ValueError(f"root products must be finite and nonnegative, got {a} and {b}")
-    return _norm(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), q)
+    d0, d1, d2 = abs(a0 - b0), abs(a1 - b1), abs(a2 - b2)
+    if q == _INF:
+        return d0 if d0 >= d1 and d0 >= d2 else d1 if d1 >= d2 else d2
+    if d0 > d1: d0, d1 = d1, d0
+    if d1 > d2: d1, d2 = d2, d1
+    if d0 > d1: d0, d1 = d1, d0
+    return math.hypot(d0, d1, d2) if q == 2.0 else _norm(d0, d1, d2, q)
 
 
 def root_metric_oriented(a: Sequence[float], b: Sequence[float], q: float = 2.0) -> float:
@@ -87,13 +88,31 @@ def root_metric_oriented(a: Sequence[float], b: Sequence[float], q: float = 2.0)
     q = q if q.__class__ is float and q >= 1.0 else _check_order(q)
     a0, a1, a2 = a
     b0, b1, b2 = b
-    if not (0.0 <= a0 < math.inf and 0.0 <= a1 < math.inf and 0.0 <= a2 < math.inf
-            and 0.0 <= b0 < math.inf and 0.0 <= b1 < math.inf and 0.0 <= b2 < math.inf):
+    if not (0.0 <= a0 < _INF and 0.0 <= a1 < _INF and 0.0 <= a2 < _INF
+            and 0.0 <= b0 < _INF and 0.0 <= b1 < _INF and 0.0 <= b2 < _INF):
         b = (b0, b1, b2)
         raise ValueError(f"root products must be finite and nonnegative, got {a} and {b}")
-    d = _norm(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), q)  # the three rotations of b
-    e = _norm(abs(a0 - b1), abs(a1 - b2), abs(a2 - b0), q)
-    f = _norm(abs(a0 - b2), abs(a1 - b0), abs(a2 - b1), q)
+    d0, d1, d2 = abs(a0 - b0), abs(a1 - b1), abs(a2 - b2)  # the three rotations of b
+    e0, e1, e2 = abs(a0 - b1), abs(a1 - b2), abs(a2 - b0)
+    f0, f1, f2 = abs(a0 - b2), abs(a1 - b0), abs(a2 - b1)
+    if q == _INF:
+        d = d0 if d0 >= d1 and d0 >= d2 else d1 if d1 >= d2 else d2
+        e = e0 if e0 >= e1 and e0 >= e2 else e1 if e1 >= e2 else e2
+        f = f0 if f0 >= f1 and f0 >= f2 else f1 if f1 >= f2 else f2
+    else:  # each rotation's differences sorted, as math.hypot and _norm take them
+        if d0 > d1: d0, d1 = d1, d0
+        if d1 > d2: d1, d2 = d2, d1
+        if d0 > d1: d0, d1 = d1, d0
+        if e0 > e1: e0, e1 = e1, e0
+        if e1 > e2: e1, e2 = e2, e1
+        if e0 > e1: e0, e1 = e1, e0
+        if f0 > f1: f0, f1 = f1, f0
+        if f1 > f2: f1, f2 = f2, f1
+        if f0 > f1: f0, f1 = f1, f0
+        if q == 2.0:
+            d, e, f = math.hypot(d0, d1, d2), math.hypot(e0, e1, e2), math.hypot(f0, f1, f2)
+        else:
+            d, e, f = _norm(d0, d1, d2, q), _norm(e0, e1, e2, q), _norm(f0, f1, f2, q)
     return d if d <= e and d <= f else e if e <= f else f
 
 
@@ -132,30 +151,36 @@ def superbase_distance_linf(
     3 times the best, so stopping never changes the result. A bound that is
     not finite sorts first and never stops the search.
     """
-    v = tuple((w.x, w.y) for w in b1.vectors())
-    u = tuple((w.x, w.y) for w in b2.vectors())
-    (ax, ay), (bx, by), (cx, cy) = v
-    total = 0.0
-    for x, y in v + u:
-        total += x * x + y * y
-    ranked = []
-    for um in ((u, tuple((x, -y) for x, y in u)) if allow_reflection else (u,)):
-        dots, crss = [], []  # row i: u_i against v0, v1, v2
-        for ux, uy in um:
-            dots.append((ux * ax + uy * ay, ux * bx + uy * by, ux * cx + uy * cy))
-            crss.append((ux * ay - uy * ax, ux * by - uy * bx, ux * cy - uy * cx))
-        for i, j, k in _RELABELLINGS:
-            lsq = total - 2.0 * math.hypot(dots[i][0] + dots[j][1] + dots[k][2],
-                                           crss[i][0] + crss[j][1] + crss[k][2])
-            ranked.append((lsq if lsq < math.inf else -math.inf, len(ranked),
-                           (um[i], um[j], um[k])))
-    ranked.sort()  # the index breaks ties, so equal bounds keep permutation order
+    (ax, ay), (bx, by), (cx, cy) = v = b1.vectors()
+    (px, py), (qx, qy), (rx, ry) = u = b2.vectors()
+    total = ((ax * ax + ay * ay) + (bx * bx + by * by) + (cx * cx + cy * cy)
+             + (px * px + py * py) + (qx * qx + qy * qy) + (rx * rx + ry * ry))
+    mirrored = ((px, -py), (qx, -qy), (rx, -ry))
+    bounds = []  # index 6m + n: mirror m (0 = u), relabelling _RELABELLINGS[n]
+    # the mirror negates the y coordinates of u, here rebound in place
+    for py, qy, ry in ((py, qy, ry), (-py, -qy, -ry)) if allow_reflection else ((py, qy, ry),):
+        dpa, dpb, dpc = px * ax + py * ay, px * bx + py * by, px * cx + py * cy
+        dqa, dqb, dqc = qx * ax + qy * ay, qx * bx + qy * by, qx * cx + qy * cy
+        dra, drb, drc = rx * ax + ry * ay, rx * bx + ry * by, rx * cx + ry * cy
+        xpa, xpb, xpc = px * ay - py * ax, px * by - py * bx, px * cy - py * cx
+        xqa, xqb, xqc = qx * ay - qy * ax, qx * by - qy * bx, qx * cy - qy * cx
+        xra, xrb, xrc = rx * ay - ry * ax, rx * by - ry * bx, rx * cy - ry * cx
+        bounds += (total - 2.0 * math.hypot(dpa + dqb + drc, xpa + xqb + xrc),
+                   total - 2.0 * math.hypot(dpa + drb + dqc, xpa + xrb + xqc),
+                   total - 2.0 * math.hypot(dqa + dpb + drc, xqa + xpb + xrc),
+                   total - 2.0 * math.hypot(dqa + drb + dpc, xqa + xrb + xpc),
+                   total - 2.0 * math.hypot(dra + dpb + dqc, xra + xpb + xqc),
+                   total - 2.0 * math.hypot(dra + dqb + dpc, xra + xqb + xpc))
+    if not total < _INF:  # then no bound is finite, and a bound that is not finite is -inf
+        bounds = [-_INF] * len(bounds)
     margin = 1e-9 * total
-    best = math.inf
-    for lsq, _, perm in ranked:
-        if lsq - margin >= 3.0 * best:
+    best = _INF
+    for n in sorted(range(len(bounds)), key=bounds.__getitem__):  # stable: ties keep index order
+        if bounds[n] - margin >= 3.0 * best:
             break
-        best = _aligned_sq(v, perm, best)
+        um = u if n < 6 else mirrored
+        i, j, k = _RELABELLINGS[n % 6]
+        best = _aligned_sq(v, (um[i], um[j], um[k]), best)
     return math.sqrt(best)
 
 

@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateLattice
-from .lattice import LatticeSign, ObtuseSuperbase, OrientedRootForm, RootForm, Vec2
+from .lattice import _NEGATIVE, LatticeSign, ObtuseSuperbase, OrientedRootForm, RootForm, Vec2
 
 
 class BarycentricTriple(NamedTuple):
@@ -80,8 +80,12 @@ def to_quotient_triangle(rf: RootForm) -> QTPoint:
 
 def to_quotient_triangle_oriented(orf: OrientedRootForm, sign: LatticeSign) -> QTPoint:
     """Quotient-triangle point with signed_x = -x for negative lattices."""
-    x, y = qt_coords(*sorted(orf))
-    return QTPoint(x, y, -x if sign is LatticeSign.NEGATIVE else x)
+    a, b, c = orf
+    if a > b: a, b = b, a  # a three-comparison swap network sorts as sorted() does
+    if b > c: b, c = c, b
+    if a > b: a, b = b, a
+    x, y = qt_coords(a, b, c)  # c >= b, so x >= 0 and signed_x = +-x holds unchecked
+    return tuple.__new__(QTPoint, (x, y, -x if sign is _NEGATIVE else x))
 
 
 def reconstruct_superbase(
@@ -101,7 +105,7 @@ def reconstruct_superbase(
     cos_a = -(r12 / len1) * (r12 / len2)  # len1 * len2 underflows below about 1e-154
     cos_a = max(-1.0, min(1.0, cos_a))
     sin_a = math.sqrt(1.0 - cos_a * cos_a)
-    if sign is LatticeSign.NEGATIVE:
+    if sign is _NEGATIVE:
         sin_a = -sin_a
     v1 = Vec2(len1, 0.0)
     v2 = Vec2(len2 * cos_a, len2 * sin_a)

@@ -230,13 +230,17 @@ def emit_grid(grid: DensityGrid, fmt: str) -> bytes:
     CSV: one header row with the values x_min,x_max,y_min,y_max,resolution,
     then resolution rows of resolution counts, top row = largest y bin.
     PGM: binary P5, same row order, maxval = min(65535, max count) with
-    counts scaled linearly when they exceed 65535.
+    counts scaled linearly when they exceed 65535. Keys must be ints in
+    [0, resolution^2) and counts ints >= 0, else ValueError names the key.
     """
-    if fmt == "csv":
-        return _emit_csv(grid)
-    if fmt == "pgm":
-        return _emit_pgm(grid)
-    raise ValueError(f"unknown grid format {fmt!r}")
+    if fmt not in ("csv", "pgm"):
+        raise ValueError(f"unknown grid format {fmt!r}")
+    n = grid.spec.resolution ** 2
+    for k, c in grid.counts.items():
+        if not (isinstance(k, int) and 0 <= k < n and isinstance(c, int) and c >= 0):
+            raise ValueError(f"grid key {k!r} with count {c!r}: want an int key in [0, {n}) "
+                             "and an int count >= 0")
+    return _emit_csv(grid) if fmt == "csv" else _emit_pgm(grid)
 
 
 def _file_buffer(size: int) -> io.BytesIO:

@@ -26,7 +26,9 @@ from rootforms import (
     vonorms,
 )
 from rootforms.errors import DegenerateLattice, ParseError
-from rootforms.lattice import NEG_TOL, SIGN_TOL, lagrange_gauss, oriented_root_products
+from rootforms.lattice import (NEG_TOL, SIGN_TOL, OrientedRootForm, _oriented_root_products,
+                               lagrange_gauss, oriented_root_products)
+from rootforms.projection import QTPoint, qt_coords
 from rootforms.records import (KINDS, DensityGrid, GridSpec, LatticeRecord, basis_coords,
                                format_number)
 from rootforms.voronoi import TIE_TOL, VoronoiVector
@@ -578,6 +580,23 @@ def reference_shares(a: float, b: float, c: float) -> tuple[float, float, float]
 def reference_qt_coords(r12: float, r01: float, r02: float) -> tuple[float, float]:
     b12, b01, b02 = reference_shares(r12, r01, r02)
     return 0.5 * (b02 - b01), min(b12, 1.0 / 3.0)
+
+
+# Reference orientation and QT point: oriented_root_form and
+# to_quotient_triangle_oriented as they were before each ran in one frame,
+# building their results through the named-tuple constructors, sorted() and
+# the LatticeSign class attribute. The one-frame forms must return the same
+# bits and types, and raise the same errors.
+
+
+def reference_oriented_root_form(b: Basis2):
+    _, w, sign, _ = _oriented_root_products(*b.v1, *b.v2)
+    return OrientedRootForm(*w), sign
+
+
+def reference_to_quotient_triangle_oriented(orf, sign: LatticeSign) -> QTPoint:
+    x, y = qt_coords(*sorted(orf))
+    return QTPoint(x, y, -x if sign is LatticeSign.NEGATIVE else x)
 
 
 def reference_accumulate_grid(points, spec: GridSpec) -> DensityGrid:

@@ -277,6 +277,23 @@ class TestEmit:
         data = emit_grid(DensityGrid(GridSpec(0, 1, 0, 1, 2), counts, 0), "csv")
         assert data == b"0,1,0,1,2\n2,4\n1,3\n"
 
+    @pytest.mark.parametrize("counts, bad", [
+        ({-1: 5}, "-1 with count 5"),  # used to wrap to pixel 3 in both files
+        ({-3: 12}, "-3 with count 12"),  # used to raise KeyError: 1 in the CSV
+        ({0: 1, 4: 1}, "4 with count 1"),  # used to raise IndexError
+        ({1: 2, 0: -3}, "0 with count -3"),  # used to write "-3" into the CSV
+        ({1.0: 2}, "1.0 with count 2"),
+        ({0: 1.5}, "0 with count 1.5"),
+    ], ids=["negative-key", "negative-key-wide-count", "key-past-the-raster", "negative-count",
+            "float-key", "float-count"])
+    @pytest.mark.parametrize("fmt", ["csv", "pgm"])
+    def test_keys_and_counts_outside_the_raster_raise_naming_the_key(self, fmt, counts, bad):
+        grid = DensityGrid(GridSpec(0, 1, 0, 1, 2), counts, 0)
+        with pytest.raises(ValueError) as info:
+            emit_grid(grid, fmt)
+        assert str(info.value) == (
+            f"grid key {bad}: want an int key in [0, 4) and an int count >= 0")
+
     def test_unknown_format(self):
         grid = DensityGrid(GridSpec(0, 1, 0, 1, 1), {}, 0)
         with pytest.raises(ValueError):
