@@ -183,9 +183,10 @@ class Basis2(NamedTuple("Basis2", [("v1", Vec2), ("v2", Vec2)])):
 
 
 def _check_superbase(v0: Vec2, v1: Vec2, v2: Vec2) -> None:
-    check_basis(v1.x, v1.y, v2.x, v2.y)
-    sx, sy = v0.x + v1.x + v2.x, v0.y + v1.y + v2.y
-    if math.hypot(sx, sy) > SUM_TOL * math.sqrt(max(v1.norm_sq(), v2.norm_sq())):
+    (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
+    check_basis(x1, y1, x2, y2)
+    sx, sy = x0 + x1 + x2, y0 + y1 + y2
+    if math.hypot(sx, sy) > SUM_TOL * math.sqrt(max(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)):
         raise ValueError(f"superbase vectors sum to ({sx:g}, {sy:g}), not zero")
 
 
@@ -222,16 +223,11 @@ class ObtuseSuperbase(NamedTuple("ObtuseSuperbase", [("v0", Vec2), ("v1", Vec2),
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, v0: Vec2, v1: Vec2, v2: Vec2, reduction_steps: int = 0):
-        # _check_superbase and the conorm test on plain floats, in one frame
-        x0, y0, x1, y1, x2, y2 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y
-        check_basis(x1, y1, x2, y2)
-        sx, sy = x0 + x1 + x2, y0 + y1 + y2
-        n1, n2 = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
-        if math.hypot(sx, sy) > SUM_TOL * math.sqrt(max(n1, n2)):
-            raise ValueError(f"superbase vectors sum to ({sx:g}, {sy:g}), not zero")
+        _check_superbase(v0, v1, v2)
+        (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
         c = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
-        if min(c) < -NEG_TOL * max(x0 * x0 + y0 * y0, n1, n2):
-            raise NegativeConorm(f"superbase is not obtuse: conorms {c}")
+        if min(c) < -NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2):
+            raise NegativeConorm(f"superbase is not obtuse: conorms {tuple(map(float, c))}")
         return tuple.__new__(cls, (v0, v1, v2, reduction_steps))
 
 
@@ -274,7 +270,8 @@ def conorms_from_vonorms(n: VonormTriple) -> ConormTriple:
     )
     if min(c) < -NEG_TOL * max(n):
         raise NegativeConorm(
-            f"vonorms {tuple(n)} violate a triangle inequality: conorms {tuple(c)}"
+            f"vonorms {tuple(map(float, n))} violate a triangle inequality: "
+            f"conorms {tuple(map(float, c))}"
         )
     return c
 
@@ -359,7 +356,7 @@ def _obtuse_root_products(x0, y0, x1, y1, x2, y2):
     lo, b, c = (a, b, c) if a <= b and a <= c else (b, c, a) if b <= c else (c, a, b)
     mid, hi = (b, c) if b <= c else (c, b)
     if mid == 0.0:  # two vanishing conorms force a vanishing vonorm
-        raise DegenerateLattice(f"two conorms vanish: {(p12, p01, p02)}")
+        raise DegenerateLattice(f"two conorms vanish: {(float(p12), float(p01), float(p02))}")
     tol = SIGN_TOL * hi
     if lo <= tol or mid - lo <= tol or hi - mid <= tol:
         return (lo, mid, hi), _NEUTRAL

@@ -12,15 +12,10 @@ must be finite and nonnegative, else the root metrics raise ValueError.
 
 A root-metric call at q = 2 or inf runs in one frame: q is checked inline,
 swap networks sort, RM_q+ unrolls its rotations, and only other q call _norm.
-Per call on the benchmark's match corpus (2-CPU x86_64 host, Python 3.11,
-medians of 200 rounds) RM_inf takes 0.86 us (was 0.96), RM_2 1.03 (1.11) and
-RM_2+ 1.73 (2.02), bit-identical to the former form.
 
 superbase_distance_linf ranks its 12 relabellings by a closed-form lower bound
-and runs the one-frame exact sweep only while a relabelling can still win: one
-is left for each planted near duplicate of that corpus. A call takes 35 us
-there (was 43) and 93 us (99) between two of its reference lattices, on the
-same host, bit-identical to sweeping all 12 in order.
+and runs the one-frame exact sweep only while a relabelling can still win,
+with the result of sweeping all 12 in order.
 """
 
 from __future__ import annotations

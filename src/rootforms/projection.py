@@ -47,7 +47,7 @@ def _shares(a: float, b: float, c: float) -> tuple[float, float, float]:
     total = a + b + c
     if not 0.0 < total < math.inf:
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            raise ValueError(f"non-finite root product in {(a, b, c)}")
+            raise ValueError(f"non-finite root product in {(float(a), float(b), float(c))}")
         if total <= 0.0:
             raise DegenerateLattice("root products sum to zero")
         a, b, c = 0.25 * a, 0.25 * b, 0.25 * c  # the sum overflowed; x 1/4 keeps the shares' bits
@@ -101,7 +101,7 @@ def reconstruct_superbase(
     len1 = math.hypot(r12, r01)
     len2 = math.hypot(r12, r02)
     if len1 <= 0.0 or len2 <= 0.0:
-        raise DegenerateLattice(f"root form {tuple(rf)} has a vanishing basis vector")
+        raise DegenerateLattice(f"root form {tuple(map(float, rf))} has a vanishing basis vector")
     cos_a = -(r12 / len1) * (r12 / len2)  # len1 * len2 underflows below about 1e-154
     cos_a = max(-1.0, min(1.0, cos_a))
     sin_a = math.sqrt(1.0 - cos_a * cos_a)

@@ -504,11 +504,12 @@ def oracle_grid_bytes(points, spec: GridSpec) -> tuple[bytes, bytes, int]:
     return csv, pgm, overflow
 
 
-# The record parser, binning, QT shares and grid emitters as they were before
-# the parser got its one-comparison fast path, qt_coords its inline shares,
-# accumulate_grid its unpacked spec and the emitters their one buffer of the
-# file's size. The package must give exactly their results, and their errors
-# by class, line and reason.
+# The record parser, binning, QT shares and grid emitters in plain forms kept
+# apart from the package's: the parser checks through a helper per rule, the
+# shares have a function of their own, binning reads the spec by name and the
+# CSV emitter writes a body buffer around a sorted list of wide counts. The
+# package must give exactly their results, and their errors by class, line
+# and reason.
 
 
 def reference_parse_record_line(text: str, line: int) -> LatticeRecord | None:

@@ -1100,8 +1100,15 @@ def grid_corpus_lines():
     return [item.line for item in _load_perfbench("corpus").grid_corpus(1, 6000)]
 
 
+@pytest.fixture(scope="module")
+def skewed_corpus_lines():
+    """The rootform_skewed workload's corpus of seed 1 as record lines."""
+    corpus = _load_perfbench("corpus")
+    return [item.line for item in corpus.skewed_corpus(1, 800, (1, 900), 0.04, (100, 150))]
+
+
 class TestPipelineMatchesTheReference:
-    """Each CLI run on the benchmark corpus, with bad lines injected, writes the
+    """Each CLI run on a benchmark corpus, with bad lines injected, writes the
     bytes and warnings of the same run through the parent's parser, kernel
     entry, QT shares, binning and emitters (tests/helpers.py)."""
 
@@ -1118,14 +1125,11 @@ class TestPipelineMatchesTheReference:
         "qt-signed": ["qt", "--signed", "--lenient"],
     }
 
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_bytes_and_warnings(self, tmp_path, capsys, monkeypatch, grid_corpus_lines, command):
+    def _runs(self, tmp_path, capsys, monkeypatch, lines, command):
+        """(code, stdout, stderr, [-o, --pgm bytes]) of the package's run, then the reference's."""
         import helpers
         from rootforms import records
 
-        lines = list(grid_corpus_lines)
-        for i, line in enumerate(self.BAD):
-            lines.insert(450 * (i + 1), line)
         src = tmp_path / "in.csv"
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
         runs = []
@@ -1143,6 +1147,14 @@ class TestPipelineMatchesTheReference:
                 code, stdout, stderr = run(capsys, *argv)
             files = [p.read_bytes() if p.exists() else None for p in (out, pgm)]
             runs.append((code, stdout, stderr, files))
+        return runs
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bytes_and_warnings(self, tmp_path, capsys, monkeypatch, grid_corpus_lines, command):
+        lines = list(grid_corpus_lines)
+        for i, line in enumerate(self.BAD):
+            lines.insert(450 * (i + 1), line)
+        runs = self._runs(tmp_path, capsys, monkeypatch, lines, command)
         assert runs[0] == runs[1]
         code, _, stderr, files = runs[0]
         if command.endswith("strict"):
@@ -1152,6 +1164,17 @@ class TestPipelineMatchesTheReference:
             assert code == 0 and stderr.count("warning: skipped") == 10
             rows = {"grid-qt": 1001, "grid-rootpair": 201}.get(command, 6002)  # 6001 records
             assert files[0].count(b"\n") == rows
+
+    def test_skewed_bases(self, tmp_path, capsys, monkeypatch, skewed_corpus_lines):
+        # rootform_skewed's sheared basis lines, some at scales up to 1e+-150
+        lines = list(skewed_corpus_lines)
+        for i, line in enumerate(self.BAD):
+            lines.insert(60 * (i + 1), line)
+        runs = self._runs(tmp_path, capsys, monkeypatch, lines, "rootform-oriented")
+        assert runs[0] == runs[1]
+        code, _, stderr, files = runs[0]
+        assert code == 0 and stderr.count("warning: skipped") == 10
+        assert files[0].count(b"\n") == 802  # the header and 801 records
 
 
 def test_a_grid_record_costs_at_most_ten_python_calls():

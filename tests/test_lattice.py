@@ -33,6 +33,7 @@ from rootforms import (
     conorms,
     conorms_from_vonorms,
     oriented_root_form,
+    reconstruct_superbase,
     reduce_to_obtuse,
     root_form,
     root_form_from_values,
@@ -43,6 +44,7 @@ from rootforms import (
 )
 from rootforms import lattice
 from rootforms.lattice import lagrange_gauss, oriented_root_products
+from rootforms.projection import qt_coords
 
 SQ3, SQ6, SQ7 = math.sqrt(3), math.sqrt(6), math.sqrt(7)
 
@@ -172,6 +174,25 @@ class TestConormsVonorms:
                 "vonorms (10.0, 1.0, 1.0) violate a triangle inequality: "
                 "conorms (-4.0, 5.0, 5.0)")):
             conorms_from_vonorms(VonormTriple(10.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("cls, build", [
+        (NegativeConorm, lambda f: ObtuseSuperbase(Vec2(f(-2.0), f(-1.0)), Vec2(f(1.0), f(0.0)),
+                                                   Vec2(f(1.0), f(1.0)))),
+        (NegativeConorm, lambda f: conorms_from_vonorms(VonormTriple(f(10.0), f(1.0), f(1.0)))),
+        (DegenerateLattice, lambda f: lattice._obtuse_root_products(
+            f(-1.0), f(0.0), f(1.0), f(0.0), f(0.0), f(0.0))),
+        (ValueError, lambda f: qt_coords(f(math.nan), f(1.0), f(2.0))),
+        (DegenerateLattice, lambda f: reconstruct_superbase(RootForm(f(0.0), f(0.0), f(1.0)),
+                                                            LatticeSign.POSITIVE)),
+    ])
+    def test_numpy_scalars_give_the_float_message(self, cls, build):
+        # the error text shows plain floats, not np.float64(...) reprs
+        messages = []
+        for f in (float, np.float64):
+            with pytest.raises(cls) as info:
+                build(f)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestReduction:

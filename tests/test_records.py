@@ -524,8 +524,8 @@ def _outcome(parse, text, line):
 
 
 class TestParseMatchesTheReference:
-    """parse_record_line's one-comparison fast path gives exactly the parent
-    parser's records, and its refusals by class, line and reason."""
+    """parse_record_line, one ordered check per line, gives exactly the
+    reference parser's records, and its refusals by class, line and reason."""
 
     @pytest.mark.parametrize("seed", [19, 1919])
     def test_fuzzed_lines(self, seed):

@@ -198,7 +198,7 @@ def _listed_root_products(x0, y0, x1, y1, x2, y2):
     as 0, with no tolerance, and two of them are degenerate."""
     c = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
     if sorted(c)[1] <= 0.0:
-        raise DegenerateLattice(f"two conorms vanish: {c}")
+        raise DegenerateLattice(f"two conorms vanish: {tuple(map(float, c))}")
     w = [math.sqrt(p) if p > 0.0 else 0.0 for p in c]
     if x1 * y2 - y1 * x2 < 0.0:
         w[1], w[2] = w[2], w[1]
