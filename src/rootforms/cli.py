@@ -4,26 +4,26 @@ Subcommands: reduce, rootform, dist, qt, grid, voronoi. rootform, qt and grid
 stream their input in one thread through records.iter_records: each line is
 parsed and reduced, then formatted or binned, before the next is read. The
 first bad line aborts the run, or with --lenient is skipped with a warning,
-so warnings come out in line order. rootform and qt spool their rows to a
-temporary file (in TMPDIR) and copy it to -o or stdout after the last record,
-so their memory is flat in the record count; grid's is O(occupied pixels), at
-most O(res^2). grid checks its options before it reads the input and builds
-each file's bytes before it opens that file, so no command leaves a partial
-file when it aborts. -o files are UTF-8, as the input is. LATTICE_THREADS is
-accepted for compatibility and ignored. Numbers print with 12 significant
-digits. A start imports only the modules its subcommand runs and adds only
-that subcommand's arguments to the parser.
+so warnings come out in line order. grid checks its options before it reads
+the input. Each output, a file or stdout, is spooled to a temporary file (in
+TMPDIR) and copied out once complete, so no command leaves a partial file when
+it aborts. Memory is flat in the record count, and grid's is O(occupied pixels
++ one band of rows) at any --res. -o files are UTF-8, as the input is.
+LATTICE_THREADS is accepted for compatibility and ignored. Numbers print with
+12 significant digits. A start imports only the modules its subcommand runs
+and adds only that subcommand's arguments to the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from .errors import LatticeError
 from .lattice import (_NEGATIVE, Basis2, Vec2, _oriented_root_products, check_basis,
                       oriented_root_form, oriented_root_products, root_form_from_values)
-from .records import (GridSpec, LatticeRecord, accumulate_grid, basis_coords, emit_grid,
+from .records import (GridSpec, LatticeRecord, _write_grid, accumulate_grid, basis_coords,
                       format_number as fmt, iter_records)
 
 
@@ -55,26 +55,32 @@ def _process_records(args):
         yield from iter_records(fh, _record_forms, args.lenient)
 
 
-def _write_rows(path: str | None, header: str, rows) -> int:
-    """Write ``header`` and ``rows``, one line each, to ``path`` or stdout ("-", None).
-
-    Rows go to a temporary file as they come, 1024 at a time, and are copied out
-    after the last one: memory stays flat, and a run that aborts opens no -o."""
+def _write_out(path: str | None, write, *args) -> int:
+    """Run ``write(*args, spool)`` on a binary temporary file (in TMPDIR), then copy
+    the spool to ``path``, or to stdout for "-" or None: memory stays flat in the
+    output's size, and ``path`` is opened only once ``write`` has returned."""
     import shutil
     import tempfile
-    from itertools import islice
 
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as spool:
-        spool.write(header + "\n")
-        while batch := list(islice(rows, 1024)):  # a write per row costs 3x as much
-            spool.write("\n".join(batch) + "\n")
+    with tempfile.TemporaryFile() as spool:
+        write(*args, spool)
         spool.seek(0)
         if path is None or path == "-":
-            shutil.copyfileobj(spool, sys.stdout, 1 << 16)
+            with io.TextIOWrapper(spool, "utf-8", newline="\n") as text:  # closes the spool
+                shutil.copyfileobj(text, sys.stdout, 1 << 16)
         else:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            with open(path, "wb") as fh:
                 shutil.copyfileobj(spool, fh, 1 << 16)
     return 0
+
+
+def _write_rows(header: str, rows, out) -> None:
+    """Write ``header`` and ``rows``, one UTF-8 line each, to ``out``, 1024 rows at a time."""
+    from itertools import islice
+
+    out.write(header.encode() + b"\n")
+    while batch := list(islice(rows, 1024)):  # a write per row costs 3x as much
+        out.write(("\n".join(batch) + "\n").encode())
 
 
 def _cmd_reduce(args) -> int:
@@ -99,7 +105,7 @@ def _record_forms(rec: LatticeRecord):
 
 def _cmd_rootform(args) -> int:
     order = tuple if args.oriented else sorted
-    return _write_rows(args.output, "id,r12,r01,r02,sign", (
+    return _write_out(args.output, _write_rows, "id,r12,r01,r02,sign", (
         ",".join([rec_id, *(fmt(v) for v in order(orf)), sign.value])
         for rec_id, orf, sign in _process_records(args)))
 
@@ -137,7 +143,7 @@ def _cmd_qt(args) -> int:
             x = -x if args.signed and sign is _NEGATIVE else x
             yield f"{rec_id},{fmt(x)},{fmt(y)}"
 
-    return _write_rows(args.output, "id,x,y", rows())
+    return _write_out(args.output, _write_rows, "id,x,y", rows())
 
 
 _GRID_DEFAULTS = {
@@ -159,10 +165,7 @@ def _cmd_grid(args) -> int:
         points = (qt_coords(*sorted(orf)) for _, orf, _ in rows)
     grid = accumulate_grid(points, spec)
     for path, kind in [(args.output, "csv")] + ([(args.pgm, "pgm")] if args.pgm else []):
-        data = emit_grid(grid, kind)  # before its file is opened: a failed emit writes nothing
-        with open(path, "wb") as fh:
-            fh.write(data)
-        del data  # one payload alive at a time
+        _write_out(path, _write_grid, grid, kind)
     return 0
 
 
@@ -255,7 +258,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # unreadable or unwritable files, LatticeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError:  # e.g. grid --res 20000: the emitted raster takes 2 * res^2 bytes
+    except MemoryError:  # e.g. a grid whose occupied pixels do not fit
         print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 1
 

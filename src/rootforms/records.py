@@ -23,12 +23,8 @@ floor rule; points exactly on the upper bound land in the last pixel, points
 outside the bounds (or NaN) only bump ``overflow_count``. A grid keeps only
 its occupied pixels, by raster index ``(res - 1 - iy) * res + ix``, so
 ``sum(counts.values()) + overflow_count`` is the number of points ingested.
-Emitting a grid costs O(occupied pixels + output bytes) and builds each file
-in one buffer of its final size, which becomes the returned bytes uncopied, so
-the emit's peak memory is the file's size. The CSV rows start as zeros past
-the room that the wider counts' extra digits need, and counts below 10 are
-stored in place; a wider count leaves a mark, and one pass moves each row left
-to its place, rebuilding a marked row with its digits.
+A grid file is written in bands of rows of at most 64 KiB, so the emit takes
+O(occupied pixels + one band) of memory whatever the resolution.
 
 LatticeRecord, GridSpec and DensityGrid are immutable named tuples, so they
 also unpack, index and compare equal to plain tuples; GridSpec checks its
@@ -219,74 +215,75 @@ def emit_grid(grid: DensityGrid, fmt: str) -> bytes:
     counts scaled linearly when they exceed 65535. Keys must be ints in
     [0, resolution^2) and counts ints >= 0, else ValueError names the key.
     """
+    out = io.BytesIO()
+    _write_grid(grid, fmt, out)
+    return out.getvalue()
+
+
+def _write_grid(grid: DensityGrid, fmt: str, out) -> None:
+    """Write emit_grid's bytes to the binary file ``out``, one band of rows at a time.
+
+    The keys and counts are checked before the first write. A band starts as
+    zero rows, takes each count below 10 (or PGM sample) in place and a b"w"
+    mark for a wider count, and is written with its marks' digits spliced in.
+    """
     if fmt not in ("csv", "pgm"):
         raise ValueError(f"unknown grid format {fmt!r}")
-    n = grid.spec.resolution ** 2
-    for k, c in grid.counts.items():
+    s, counts, res = grid.spec, grid.counts, grid.spec.resolution
+    n = res * res
+    for k, c in counts.items():
         if not (isinstance(k, int) and 0 <= k < n and isinstance(c, int) and c >= 0):
             raise ValueError(f"grid key {k!r} with count {c!r}: want an int key in [0, {n}) "
                              "and an int count >= 0")
-    return _emit_csv(grid) if fmt == "csv" else _emit_pgm(grid)
-
-
-def _file_buffer(size: int) -> io.BytesIO:
-    """A BytesIO of size zero bytes, allocated at once (failing, a clean MemoryError).
-
-    Filled through getbuffer(), it hands that buffer over uncopied as the bytes
-    of getvalue(), once the view is released."""
-    out = io.BytesIO()
-    out.seek(size - 1)
-    out.write(b"\0")
-    return out
-
-
-def _emit_csv(grid: DensityGrid) -> bytes:
-    s, counts = grid.spec, grid.counts
-    res = s.resolution
-    head = ",".join([*(format_number(v) for v in s[:4]), str(res)]).encode("ascii") + b"\n"
-    # the bytes that the counts of two or more digits take beyond one each
-    extra = sum(len(str(c)) - 1 for c in counts.values() if c > 9)
-    h, n, base = len(head), 2 * res, len(head) + extra
-    out = _file_buffer(base + n * res)
-    with out.getbuffer() as view:
-        view[:h] = head
-        # every row starts as "0,0,...,0\n" at base, so pixel k's digit is byte base + 2k
-        row = b"0," * (res - 1) + b"0\n"
-        for start in range(base, len(view), n):
-            view[start:start + n] = row
-        for k, c in counts.items():
-            view[base + 2 * k] = 48 + c if c < 10 else 119  # b"w" marks a wider count
-        write, start = h, base
-        while write < start:  # first to last, rows move left until the room is used up
-            line = view[start:start + n].tobytes()
-            if b"w" in line:  # rebuilt with its wide counts' digits
-                parts = line.split(b"w")
-                k = (start - base + len(parts[0])) // 2  # the first mark's pixel
-                for i, part in enumerate(parts[1:], 1):
-                    parts[i] = str(counts[k]).encode("ascii") + part
-                    k += (len(part) + 1) // 2
-                line = b"".join(parts)
-            view[write:write + len(line)] = line
-            write += len(line)
-            start += n
-    return out.getvalue()
-
-
-def _emit_pgm(grid: DensityGrid) -> bytes:
-    res = grid.spec.resolution
-    max_count = max(grid.counts.values(), default=0)
-    maxval = min(65535, max(max_count, 1))
-    scale = maxval / max_count if max_count > maxval else None  # round() takes ties to even
-    head = f"P5\n{res} {res}\n{maxval}\n".encode("ascii")
-    h = len(head)
-    out = _file_buffer(h + (res * res if maxval <= 255 else 2 * res * res))
-    with out.getbuffer() as view, view[h:] as image:
-        view[:h] = head
-        for k, c in grid.counts.items():
-            if maxval <= 255:
-                image[k] = c
-            else:  # PGM stores 16-bit samples big-endian
-                v = c if scale is None else round(c * scale)
-                image[2 * k] = v >> 8
-                image[2 * k + 1] = v & 255
-    return out.getvalue()
+    if fmt == "csv":
+        head = ",".join([*(format_number(v) for v in s[:4]), str(res)]).encode("ascii") + b"\n"
+        row = b"0," * (res - 1) + b"0\n"  # pixel k's digit is byte 2k of the body
+    else:
+        max_count = max(counts.values(), default=0)
+        maxval = min(65535, max(max_count, 1))
+        scale = maxval / max_count if max_count > maxval else None  # round() takes ties to even
+        head = f"P5\n{res} {res}\n{maxval}\n".encode("ascii")
+        row = bytes(res if maxval <= 255 else 2 * res)  # 16-bit samples are big-endian
+    # A band is at most 64 KiB (or a row) and 1/32 of the raster. One pass over
+    # counts groups the keys of a window of up to 1024 bands, whose lists (9
+    # bytes a key) fill 1/16 of the body if the keys spread evenly; past one
+    # pass per two pixels, each band looks its pixels up instead.
+    room, occupied = len(row) * res // 144, max(1, len(counts))
+    rows = max(1, min(65536 // len(row), res // 32, res * room // occupied))
+    span = rows * res
+    firsts = range(0, n, span)  # each band's first pixel
+    per = min(len(firsts), 1024, max(1, len(firsts) * room // occupied))
+    scan = -(-len(firsts) // per) * len(counts) > 2 * n
+    zero, band = row * rows, bytearray()
+    out.write(head)
+    for w in range(0, len(firsts), per):
+        lo, hi = firsts[w], firsts[w] + per * span
+        groups = [[] for _ in range(per)]
+        for k in () if scan else counts:
+            if lo <= k < hi:
+                groups[(k - lo) // span].append(k)
+        for keys, k0 in zip(groups, firsts[w:w + per]):
+            band[:] = zero if k0 + span <= n else zero[:len(row) * (n - k0) // res]
+            if scan:
+                keys = filter(counts.__contains__, range(k0, k0 + span))
+            with memoryview(band) as view:
+                at = 0
+                if fmt == "csv":
+                    for k in keys:
+                        c = counts[k]
+                        band[2 * (k - k0)] = 48 + c if c < 10 else 119  # b"w"
+                    while (i := band.find(119, at)) >= 0:  # the marks, first to last
+                        out.write(view[at:i])
+                        out.write(str(counts[k0 + i // 2]).encode("ascii"))
+                        at = i + 1
+                elif maxval <= 255:
+                    for k in keys:
+                        band[k - k0] = counts[k]
+                else:
+                    for k in keys:
+                        c = counts[k]
+                        v = c if scale is None else round(c * scale)
+                        band[2 * (k - k0)] = v >> 8
+                        band[2 * (k - k0) + 1] = v & 255
+                out.write(view[at:])
+        del groups, keys  # before the next window's are built

@@ -1,6 +1,7 @@
 """Command-line interface, exercised through main() and real files."""
 
 import ast
+import errno
 import importlib.util
 import math
 import os
@@ -13,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import LINE_SEPARATORS, make_rng, random_basis
+from helpers import LINE_SEPARATORS, make_rng, random_basis, reference_emit_grid
 from rootforms import (
     Basis2,
+    GridSpec,
     LatticeError,
     Vec2,
+    accumulate_grid,
     oriented_root_form,
     parse_records,
     project_to_2d,
@@ -25,7 +28,7 @@ from rootforms import (
 )
 from rootforms import cli
 from rootforms.cli import main
-from rootforms.records import emit_grid as records_emit_grid, format_number
+from rootforms.records import _write_grid as records_write_grid, emit_grid, format_number
 
 SQ6, SQ7 = math.sqrt(6), math.sqrt(7)
 
@@ -809,10 +812,10 @@ class TestStreaming:
         assert err == "error: resolution must be a positive integer, got 0\n"
 
     def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        def emit_grid(grid, fmt):
+        def write_grid(grid, fmt, out):
             raise MemoryError
 
-        monkeypatch.setattr("rootforms.cli.emit_grid", emit_grid)
+        monkeypatch.setattr("rootforms.cli._write_grid", write_grid)
         src = tmp_path / "in.csv"
         src.write_text(RECORDS)
         dst = tmp_path / "out"
@@ -828,33 +831,47 @@ class TestStreaming:
         assert (code, out, err) == (1, "", "error: out of memory in grid\n")
         assert (dst.read_bytes(), pgm.read_bytes()) == (b"old csv\n", b"old pgm\n")
 
-    def test_running_out_of_address_space_in_the_emit_is_one_error_line(self, tmp_path):
-        # the child may map 600 MB, less than the 800 MB CSV body at --res 20000
+    def test_a_large_raster_is_written_under_an_address_space_cap(self, tmp_path):
+        # the cap is a res-1 run's VmPeak plus half the CSV body at --res 4000:
+        # an emit that held the raster in memory, 32 MB here, would not fit
         resource = pytest.importorskip("resource")
-        limit = 600_000 * 1024
-
-        def cap_address_space():  # runs in the child, so the limit binds only there
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-        src, dst = tmp_path / "one.csv", tmp_path / "g.csv"
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("VmPeak is read from /proc/self/status")
+        src = tmp_path / "one.csv"
         src.write_text("a,cell2,1,1,90\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "rootforms", "grid", "-i", str(src), "-o", str(dst),
-             "--res", "20000"],
-            env=_child_env(), capture_output=True, text=True, timeout=60,
-            preexec_fn=cap_address_space,
-        )
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "error: out of memory in grid\n"
-        assert not dst.exists()
+        # main, then this process's VmPeak in kB, so both runs start alike
+        script = ("import sys; from rootforms.cli import main; code = main(sys.argv[1:]); "
+                  "status = open('/proc/self/status').read(); "
+                  "print(status.split('VmPeak:')[1].split()[0]); sys.exit(code)")
+
+        def grid(res, limit=None):
+            def cap_address_space():  # runs in the child, so the limit binds only there
+                hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+                soft = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+                resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+            argv = ["grid", "-i", str(src), "-o", str(tmp_path / f"g{res}.csv"),
+                    "--pgm", str(tmp_path / f"g{res}.pgm"), "--res", str(res)]
+            return subprocess.run(
+                [sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True,
+                text=True, timeout=120, preexec_fn=None if limit is None else cap_address_space,
+            )
+
+        base = grid(1)
+        assert (base.returncode, base.stderr) == (0, "")
+        limit = int(base.stdout) * 1024 + 4000 * 4000
+        big = grid(4000, limit)
+        assert (big.returncode, big.stderr) == (0, "")
+        want = accumulate_grid([(1.0, 1.0)], GridSpec(0.0, 25.0, 0.0, 25.0, 4000))  # the square's root pair
+        for fmt in ("csv", "pgm"):
+            data = (tmp_path / f"g4000.{fmt}").read_bytes()
+            assert data == reference_emit_grid(want, fmt)
 
     def test_failed_pgm_emit_keeps_the_old_pgm(self, tmp_path, capsys, monkeypatch):
-        def emit_grid(grid, fmt):
+        def write_grid(grid, fmt, out):
             if fmt == "pgm":
                 raise MemoryError
-            return records_emit_grid(grid, fmt)
+            records_write_grid(grid, fmt, out)
 
         src = tmp_path / "in.csv"
         src.write_text(RECORDS)
@@ -864,7 +881,7 @@ class TestStreaming:
         want_csv = dst.read_bytes()
         dst.unlink()
         pgm.write_bytes(b"old pgm\n")
-        monkeypatch.setattr("rootforms.cli.emit_grid", emit_grid)
+        monkeypatch.setattr("rootforms.cli._write_grid", write_grid)
         code, out, err = run(capsys, *_file_command("grid", src, dst))
         assert (code, out, err) == (1, "", "error: out of memory in grid\n")
         assert (dst.read_bytes(), pgm.read_bytes()) == (want_csv, b"old pgm\n")
@@ -910,8 +927,27 @@ class TestStreaming:
         assert capsys.readouterr() == ("", "")
         assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
 
+    def test_grid_peak_memory_does_not_grow_with_the_resolution(self, tmp_path, capsys):
+        # the files go out in bands of rows, so no buffer grows with res^2:
+        # the CSV and the PGM at --res 2000 take 8 MB and 4 MB
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS)
+        peaks = []
+        for res in (200, 200, 2000):  # the first run warms up
+            argv = ["grid", "-i", str(src), "-o", str(tmp_path / "g.csv"),
+                    "--pgm", str(tmp_path / "g.pgm"), "--res", str(res)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "g.csv").stat().st_size > 8_000_000
+        assert abs(peaks[2] - peaks[1]) < 1_000_000, peaks
 
-@pytest.mark.parametrize("command", ["rootform", "qt"])
+
+@pytest.mark.parametrize("command", ["rootform", "qt", "grid"])
 class TestRowSink:
     def test_a_strict_run_failing_on_its_last_line_keeps_the_old_output(
         self, tmp_path, capsys, command
@@ -930,7 +966,8 @@ class TestRowSink:
         assert run(capsys, *_file_command(command, src, want)) == (0, "", "")
         assert run(capsys, *_file_command(command, src, src)) == (0, "", "")
         assert src.read_bytes() == want.read_bytes()
-        assert len(src.read_text().splitlines()) == 7  # the header and six rows
+        # the header and six rows, or eight rows of an 8 x 8 grid
+        assert len(src.read_text().splitlines()) == (9 if command == "grid" else 7)
 
     def test_an_unusable_temp_directory_is_one_error_line(
         self, tmp_path, capsys, monkeypatch, command
@@ -944,6 +981,49 @@ class TestRowSink:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "No such file or directory" in err
         assert dst.read_bytes() == b"old\n"
+
+    def test_a_full_disk_is_one_error_line(self, tmp_path, capsys, monkeypatch, command):
+        # the spool's second write fails as on a full disk: the spool goes, and
+        # the -o and --pgm files keep their bytes
+        spool_dir, spools = tmp_path / "spool", []
+        spool_dir.mkdir()
+
+        class FullDisk:
+            def __init__(self):
+                self.file = tempfile.NamedTemporaryFile(dir=spool_dir)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.file.write(data)
+
+        def temporary_file(*args, **kwargs):
+            spools.append(FullDisk())
+            return spools[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text(RECORDS)
+        dst.write_bytes(b"old\n")
+        pgm = tmp_path / "out.csv.pgm"
+        pgm.write_bytes(b"old pgm\n")
+        code, out, err = run(capsys, *_file_command(command, src, dst))
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert len(spools) == 1 and spools[0].file.closed
+        assert list(spool_dir.iterdir()) == []
+        assert (dst.read_bytes(), pgm.read_bytes()) == (b"old\n", b"old pgm\n")
 
     def test_peak_memory_does_not_grow_with_the_record_count(self, tmp_path, capsys, command):
         # rows go to the spool 1024 at a time, so no row list grows with the file
@@ -1126,13 +1206,22 @@ class TestPipelineMatchesTheReference:
     }
 
     def _runs(self, tmp_path, capsys, monkeypatch, lines, command):
-        """(code, stdout, stderr, [-o, --pgm bytes]) of the package's run, then the reference's."""
+        """(code, stdout, stderr, [-o, --pgm bytes]) of the package's run, then the reference's.
+
+        The package's grid files must also be emit_grid's bytes of the grid it built."""
         import helpers
         from rootforms import records
 
+        def write_grid(grid, fmt, out):
+            emitted.append(emit_grid(grid, fmt))
+            records_write_grid(grid, fmt, out)
+
+        def reference_write_grid(grid, fmt, out):
+            out.write(helpers.reference_emit_grid(grid, fmt))
+
         src = tmp_path / "in.csv"
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        runs = []
+        runs, emitted = [], []
         for reference in (False, True):
             out, pgm = tmp_path / f"out{reference}", tmp_path / f"out{reference}.pgm"
             argv = [self.COMMANDS[command][0], "-i", str(src), "-o", str(out)]
@@ -1143,10 +1232,14 @@ class TestPipelineMatchesTheReference:
                     m.setattr(cli, "_record_forms", helpers.reference_record_forms)
                     m.setattr("rootforms.projection.qt_coords", helpers.reference_qt_coords)
                     m.setattr(cli, "accumulate_grid", helpers.reference_accumulate_grid)
-                    m.setattr(cli, "emit_grid", helpers.reference_emit_grid)
+                    m.setattr(cli, "_write_grid", reference_write_grid)
+                else:
+                    m.setattr(cli, "_write_grid", write_grid)
                 code, stdout, stderr = run(capsys, *argv)
             files = [p.read_bytes() if p.exists() else None for p in (out, pgm)]
             runs.append((code, stdout, stderr, files))
+            if not reference and argv[0] == "grid":
+                assert emitted == [f for f in files if f is not None]
         return runs
 
     @pytest.mark.parametrize("command", COMMANDS)

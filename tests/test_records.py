@@ -23,7 +23,8 @@ from rootforms import (
     superbase_from_basis,
     to_quotient_triangle,
 )
-from rootforms.records import KINDS, LatticeRecord, format_number, iter_records, parse_record_line
+from rootforms.records import (KINDS, LatticeRecord, _write_grid, format_number, iter_records,
+                               parse_record_line)
 
 from helpers import (LINE_SEPARATORS, oracle_grid_bytes, reference_accumulate_grid,
                      reference_emit_grid, reference_parse_record_line)
@@ -322,7 +323,7 @@ class TestEmit:
         ("csv", 1000, {0: 110, 999_999: 12, **{k: 1 + k % 9 for k in range(1, 999_999, 7)}}),
     ], ids=["csv-empty", "pgm-empty", "pgm-8-bit", "pgm-16-bit", "csv-few-wide"])
     def test_emit_memory_stays_near_the_output_size(self, fmt, res, counts):
-        # each file is built in one buffer of its final size, handed over uncopied
+        # the bytes go out in bands of rows, into one buffer that grows to the file
         grid = DensityGrid(GridSpec(0, 1, 0, 1, res), counts, 0)
         tracemalloc.start()
         try:
@@ -557,8 +558,8 @@ class TestParseMatchesTheReference:
 
 
 class TestGridMatchesTheReference:
-    """accumulate_grid and the one-buffer emitters give exactly the parent's
-    grids and bytes."""
+    """accumulate_grid and the band writer give exactly the parent's grids and
+    bytes."""
 
     @staticmethod
     def check(points, spec):
@@ -588,6 +589,25 @@ class TestGridMatchesTheReference:
         grid = DensityGrid(GridSpec(0, 1, 0, 1, 300), counts, 0)
         for fmt in ("csv", "pgm"):
             assert emit_grid(grid, fmt) == reference_emit_grid(grid, fmt)
+
+    @pytest.mark.parametrize("res", [1, 2, 33, 64, 100, 1000])
+    @pytest.mark.parametrize("peak", [12, 255, 65535, 70001], ids=[
+        "peak-12", "8-bit", "16-bit", "scaled"])
+    def test_counts_at_every_row_edge(self, res, peak, tmp_path):
+        # a band is whole rows, so counts at both ends of every row fill the
+        # first and last row of each band and both sides of each boundary;
+        # bands of 3 and 31 rows leave a shorter last band at res 100 and 1000
+        counts = {}
+        for row in range(res):
+            counts[row * res] = peak - row % 3
+            counts[row * res + res - 1] = 10 + row % 7 if row % 2 else 1 + row % 9
+        grid = DensityGrid(GridSpec(0, 1, 0, 1, res), counts, 0)
+        for fmt in ("csv", "pgm"):
+            want = reference_emit_grid(grid, fmt)
+            assert emit_grid(grid, fmt) == want
+            with open(tmp_path / fmt, "w+b") as fh:  # the writer the CLI runs on its spool
+                _write_grid(grid, fmt, fh)
+            assert (tmp_path / fmt).read_bytes() == want
 
     @pytest.mark.parametrize("res", [1, 2, 7, 300])
     def test_wide_counts_in_every_row_and_column(self, res):
