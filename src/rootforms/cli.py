@@ -5,9 +5,9 @@ stream their input in one thread through records.iter_records: each line is
 parsed and reduced, then formatted or binned, before the next is read. The
 first bad line aborts the run, or with --lenient is skipped with a warning,
 so warnings come out in line order. grid checks its options before it reads
-the input. Each output, a file or stdout, is spooled to a temporary file (in
-TMPDIR) and copied out once complete, so no command leaves a partial file when
-it aborts. Memory is flat in the record count, and grid's is O(occupied pixels
+the input. Each output, a file or stdout (-o - or no -o for rootform and qt;
+grid's paths are always files), is spooled to a temporary file (in TMPDIR) and
+copied out once complete, so no command leaves a partial file when it aborts. Memory is flat in the record count, and grid's is O(occupied pixels
 + one band of rows) at any --res. -o files are UTF-8, as the input is.
 LATTICE_THREADS is accepted for compatibility and ignored. Numbers print with
 12 significant digits. A start imports only the modules its subcommand runs
@@ -57,15 +57,15 @@ def _process_records(args):
 
 def _write_out(path: str | None, write, *args) -> int:
     """Run ``write(*args, spool)`` on a binary temporary file (in TMPDIR), then copy
-    the spool to ``path``, or to stdout for "-" or None: memory stays flat in the
-    output's size, and ``path`` is opened only once ``write`` has returned."""
+    the spool to the file ``path``, or to stdout for None: memory stays flat in
+    the output's size, and ``path`` is opened only once ``write`` has returned."""
     import shutil
     import tempfile
 
     with tempfile.TemporaryFile() as spool:
         write(*args, spool)
         spool.seek(0)
-        if path is None or path == "-":
+        if path is None:
             with io.TextIOWrapper(spool, "utf-8", newline="\n") as text:  # closes the spool
                 shutil.copyfileobj(text, sys.stdout, 1 << 16)
         else:
@@ -105,7 +105,8 @@ def _record_forms(rec: LatticeRecord):
 
 def _cmd_rootform(args) -> int:
     order = tuple if args.oriented else sorted
-    return _write_out(args.output, _write_rows, "id,r12,r01,r02,sign", (
+    path = None if args.output == "-" else args.output  # "-" is stdout, as is no -o
+    return _write_out(path, _write_rows, "id,r12,r01,r02,sign", (
         ",".join([rec_id, *(fmt(v) for v in order(orf)), sign.value])
         for rec_id, orf, sign in _process_records(args)))
 
@@ -143,7 +144,8 @@ def _cmd_qt(args) -> int:
             x = -x if args.signed and sign is _NEGATIVE else x
             yield f"{rec_id},{fmt(x)},{fmt(y)}"
 
-    return _write_out(args.output, _write_rows, "id,x,y", rows())
+    path = None if args.output == "-" else args.output  # "-" is stdout
+    return _write_out(path, _write_rows, "id,x,y", rows())
 
 
 _GRID_DEFAULTS = {

@@ -244,46 +244,39 @@ def _write_grid(grid: DensityGrid, fmt: str, out) -> None:
         scale = maxval / max_count if max_count > maxval else None  # round() takes ties to even
         head = f"P5\n{res} {res}\n{maxval}\n".encode("ascii")
         row = bytes(res if maxval <= 255 else 2 * res)  # 16-bit samples are big-endian
-    # A band is at most 64 KiB (or a row) and 1/32 of the raster. One pass over
-    # counts groups the keys of a window of up to 1024 bands, whose lists (9
-    # bytes a key) fill 1/16 of the body if the keys spread evenly; past one
-    # pass per two pixels, each band looks its pixels up instead.
-    room, occupied = len(row) * res // 144, max(1, len(counts))
-    rows = max(1, min(65536 // len(row), res // 32, res * room // occupied))
+    # A band is whole rows, at most 64 KiB (or a row) and 1/32 of the raster.
+    # One pass over counts groups the keys by band when their lists (9 bytes a
+    # key) fit in 1/16 of the body; a denser grid's bands look their pixels up.
+    rows = max(1, min(65536 // len(row), res // 32))
     span = rows * res
     firsts = range(0, n, span)  # each band's first pixel
-    per = min(len(firsts), 1024, max(1, len(firsts) * room // occupied))
-    scan = -(-len(firsts) // per) * len(counts) > 2 * n
+    if len(counts) <= len(row) * res // 144:
+        groups = [[] for _ in firsts]
+        for k in counts:
+            groups[k // span].append(k)
+    else:
+        groups = (filter(counts.__contains__, range(k0, k0 + span)) for k0 in firsts)
     zero, band = row * rows, bytearray()
     out.write(head)
-    for w in range(0, len(firsts), per):
-        lo, hi = firsts[w], firsts[w] + per * span
-        groups = [[] for _ in range(per)]
-        for k in () if scan else counts:
-            if lo <= k < hi:
-                groups[(k - lo) // span].append(k)
-        for keys, k0 in zip(groups, firsts[w:w + per]):
-            band[:] = zero if k0 + span <= n else zero[:len(row) * (n - k0) // res]
-            if scan:
-                keys = filter(counts.__contains__, range(k0, k0 + span))
-            with memoryview(band) as view:
-                at = 0
-                if fmt == "csv":
-                    for k in keys:
-                        c = counts[k]
-                        band[2 * (k - k0)] = 48 + c if c < 10 else 119  # b"w"
-                    while (i := band.find(119, at)) >= 0:  # the marks, first to last
-                        out.write(view[at:i])
-                        out.write(str(counts[k0 + i // 2]).encode("ascii"))
-                        at = i + 1
-                elif maxval <= 255:
-                    for k in keys:
-                        band[k - k0] = counts[k]
-                else:
-                    for k in keys:
-                        c = counts[k]
-                        v = c if scale is None else round(c * scale)
-                        band[2 * (k - k0)] = v >> 8
-                        band[2 * (k - k0) + 1] = v & 255
-                out.write(view[at:])
-        del groups, keys  # before the next window's are built
+    for keys, k0 in zip(groups, firsts):
+        band[:] = zero if k0 + span <= n else zero[:len(row) * (n - k0) // res]
+        with memoryview(band) as view:
+            at = 0
+            if fmt == "csv":
+                for k in keys:
+                    c = counts[k]
+                    band[2 * (k - k0)] = 48 + c if c < 10 else 119  # b"w"
+                while (i := band.find(119, at)) >= 0:  # the marks, first to last
+                    out.write(view[at:i])
+                    out.write(str(counts[k0 + i // 2]).encode("ascii"))
+                    at = i + 1
+            elif maxval <= 255:
+                for k in keys:
+                    band[k - k0] = counts[k]
+            else:
+                for k in keys:
+                    c = counts[k]
+                    v = c if scale is None else round(c * scale)
+                    band[2 * (k - k0)] = v >> 8
+                    band[2 * (k - k0) + 1] = v & 255
+            out.write(view[at:])

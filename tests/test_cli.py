@@ -946,6 +946,20 @@ class TestStreaming:
         assert (tmp_path / "g.csv").stat().st_size > 8_000_000
         assert abs(peaks[2] - peaks[1]) < 1_000_000, peaks
 
+    @pytest.mark.parametrize("peak", [200, 400], ids=["8-bit", "16-bit"])
+    def test_grid_writes_a_file_named_dash(self, tmp_path, capsys, monkeypatch, peak):
+        # "-" is stdout for rootform and qt, but grid's -o and --pgm are file
+        # paths, so a PGM sample of 0x80 or more never meets stdout's text layer
+        monkeypatch.chdir(tmp_path)
+        Path("in.csv").write_text("sq,cell2,2,2,90\n" * peak + "hexa,cell2,1,1,120\n" * 5)
+        args = ["grid", "-i", "in.csv", "--res", "8"]
+        assert run(capsys, *args, "-o", "want.csv", "--pgm", "want.pgm") == (0, "", "")
+        assert run(capsys, *args, "-o", "got.csv", "--pgm", "-") == (0, "", "")
+        assert Path("-").read_bytes() == Path("want.pgm").read_bytes()
+        assert max(Path("-").read_bytes()) >= 0x80
+        assert run(capsys, *args, "-o", "-") == (0, "", "")
+        assert Path("-").read_bytes() == Path("want.csv").read_bytes()
+
 
 @pytest.mark.parametrize("command", ["rootform", "qt", "grid"])
 class TestRowSink:
