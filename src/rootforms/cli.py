@@ -22,7 +22,7 @@ import sys
 
 from .errors import LatticeError
 from .lattice import (_NEGATIVE, Basis2, Vec2, _oriented_root_products, check_basis,
-                      oriented_root_form, oriented_root_products, root_form_from_values)
+                      oriented_root_form, root_form_from_values)
 from .records import (GridSpec, LatticeRecord, _write_grid, accumulate_grid, basis_coords,
                       format_number as fmt, iter_records)
 
@@ -84,8 +84,8 @@ def _write_rows(header: str, rows, out) -> None:
 
 
 def _cmd_reduce(args) -> int:
-    v1, v2 = _basis_from_flag(args.basis)
-    xy, orf, sign, steps = oriented_root_products(*v1, *v2)
+    v1, v2 = _basis_from_flag(args.basis)  # Basis2 has run check_basis
+    xy, orf, sign, steps = _oriented_root_products(*v1, *v2)
     x0, y0, x1, y1, x2, y2 = xy
     p = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))  # p12, p01, p02
     print("v0x,v0y,v1x,v1y,v2x,v2y,p12,p01,p02,r12,r01,r02,sign,steps")
@@ -172,11 +172,10 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_voronoi(args) -> int:
-    from .voronoi import voronoi_domain, voronoi_vectors
+    from .voronoi import _domain, voronoi_vectors
 
-    basis = _basis_from_flag(args.basis)
-    vvs = voronoi_vectors(basis)
-    poly = voronoi_domain(basis)
+    vvs = voronoi_vectors(_basis_from_flag(args.basis))
+    poly = _domain(vvs)
     lines = ["c1,c2,x,y,strict"]
     for v in vvs:
         cells = [str(v.coeffs[0]), str(v.coeffs[1]), fmt(v.vector.x), fmt(v.vector.y)]

@@ -2,8 +2,12 @@
 
 A nonzero lattice vector is a Voronoi vector iff it is shortest in its class
 modulo the doubled lattice, and strict iff the pair +-v are the only
-shortest members. The Voronoi domain is the intersection of the half-planes
-p . v <= v^2 / 2 over the Voronoi vectors.
+shortest members. The one tie rule: a member is shortest when its length is
+within TIE_TOL of the class minimum's, relatively. In an obtuse superbase
+the class of v_k holds +-v_k and the partner +-(v_i - v_j), so it is strict
+iff |v_i - v_j| > |v_k| (1 + TIE_TOL), as ``verify_partial_sums`` expects.
+The Voronoi domain is the intersection of the half-planes p . v <= v^2 / 2
+over the Voronoi vectors.
 
 Input bases are first reduced with ``lattice.lagrange_gauss``, the helper
 ``reduce_to_obtuse`` uses too. That only picks the enumeration basis: each
@@ -21,11 +25,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .lattice import Basis2, Superbase2, Vec2, conorms, lagrange_gauss, vonorms, NEG_TOL
+from .lattice import Basis2, Superbase2, Vec2, lagrange_gauss
 
 # Two candidate lengths tie when they differ by less than this, relatively.
 TIE_TOL = 1e-9
-# Vertices of the clipped polygon merge below this scale-relative distance.
+# Clipped-polygon vertices merge, and +-v_k match, below this relative distance.
 VERTEX_TOL = 1e-9
 
 
@@ -105,10 +109,7 @@ def _clip_halfplane(poly: list[Vec2], w: Vec2, offset: float) -> list[Vec2]:
         dp, dq = p.dot(w) - offset, q.dot(w) - offset
         if dp <= 0.0:
             result.append(p)
-            if dq > 0.0:
-                t = dp / (dp - dq)
-                result.append(Vec2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)))
-        elif dq <= 0.0:
+        if (dp <= 0.0) != (dq <= 0.0):
             t = dp / (dp - dq)
             result.append(Vec2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)))
     return result
@@ -121,7 +122,11 @@ def voronoi_domain(b: Basis2) -> VoronoiDomainPolygon:
     (coincident corners from redundant non-strict bisectors are merged).
     The vertex list starts at the lexicographically smallest vertex.
     """
-    vvs = voronoi_vectors(b)
+    return _domain(voronoi_vectors(b))
+
+
+def _domain(vvs: list[VoronoiVector]) -> VoronoiDomainPolygon:
+    """voronoi_domain of the lattice whose Voronoi vectors are vvs."""
     scale = max(v.vector.norm() for v in vvs)
     half = 1.1 * scale
     poly = [Vec2(half, half), Vec2(-half, half), Vec2(-half, -half), Vec2(half, -half)]
@@ -136,8 +141,7 @@ def voronoi_domain(b: Basis2) -> VoronoiDomainPolygon:
     if len(merged) > 1 and (merged[0] - merged[-1]).norm() <= tol:
         merged.pop()
 
-    area2 = sum(merged[i].cross(merged[(i + 1) % len(merged)]) for i in range(len(merged)))
-    if area2 < 0.0:
+    if VoronoiDomainPolygon(tuple(merged)).area() < 0.0:
         merged.reverse()
     start = min(range(len(merged)), key=lambda i: (merged[i].x, merged[i].y))
     return VoronoiDomainPolygon(tuple(merged[start:] + merged[:start]))
@@ -146,24 +150,20 @@ def voronoi_domain(b: Basis2) -> VoronoiDomainPolygon:
 def verify_partial_sums(s: Superbase2) -> bool:
     """Oracle check that +-v0, +-v1, +-v2 are Voronoi vectors of the lattice.
 
-    Also verifies strictness class by class: the class of v_k must be strict
-    exactly when the conorm of the complementary pair is positive. Returns
-    False on any mismatch (an obtuse superbase must always pass).
+    Also verifies strictness class by class, by voronoi_vectors' own tie
+    rule: the class of v_k must be strict exactly when its partner v_i - v_j
+    is longer than v_k by more than TIE_TOL, relatively. Returns False on
+    any mismatch (an obtuse superbase must always pass).
     """
     try:
         vvs = voronoi_vectors(Basis2(s.v1, s.v2))
     except ValueError:
         return False
-    scale = max(v.norm() for v in s.vectors())
-    tol = 1e-9 * scale
-    p12, p01, p02 = conorms(s)
-    strict_tol = NEG_TOL * max(vonorms(s))
-    # complementary conorm of v0 is p12, of v1 is p02, of v2 is p01
-    for target, comp in ((s.v0, p12), (s.v1, p02), (s.v2, p01)):
+    tol = VERTEX_TOL * max(v.norm() for v in s.vectors())
+    for target, partner in ((s.v0, s.v1 - s.v2), (s.v1, s.v2 - s.v0), (s.v2, s.v0 - s.v1)):
+        strict = partner.norm() > target.norm() * (1.0 + TIE_TOL)
         for t in (target, -target):
             found = [v for v in vvs if (v.vector - t).norm() <= tol]
-            if not found:
-                return False
-            if found[0].strict != (comp > strict_tol):
+            if not found or found[0].strict != strict:
                 return False
     return True

@@ -378,6 +378,28 @@ def reference_voronoi_vectors(b: Basis2):
     return out
 
 
+# Reference half-plane clip: voronoi._clip_halfplane as it was when each side
+# of the line wrote the crossing point itself. The one-test version must give
+# the same vertices, bit for bit.
+
+
+def reference_clip_halfplane(poly: list[Vec2], w: Vec2, offset: float) -> list[Vec2]:
+    result: list[Vec2] = []
+    n = len(poly)
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        dp, dq = p.dot(w) - offset, q.dot(w) - offset
+        if dp <= 0.0:
+            result.append(p)
+            if dq > 0.0:
+                t = dp / (dp - dq)
+                result.append(Vec2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)))
+        elif dq <= 0.0:
+            t = dp / (dp - dq)
+            result.append(Vec2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)))
+    return result
+
+
 # Reference alignment for rootforms.metrics.superbase_distance_linf: the
 # original sampled search, an angle grid refined by golden-section search.
 # Its result is an upper bound on the true minimum; the closed form must

@@ -442,6 +442,38 @@ class TestVoronoi:
         verts = {tuple(float(v) for v in ln.split(",")) for ln in vert_lines[1:]}
         assert verts == {(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5)}
 
+    def test_computes_the_vectors_once(self, capsys, monkeypatch):
+        from rootforms import voronoi
+
+        calls, vectors = [], voronoi.voronoi_vectors
+
+        def counted(b):
+            calls.append(b)
+            return vectors(b)
+
+        monkeypatch.setattr(voronoi, "voronoi_vectors", counted)
+        code, _, _ = run(capsys, "voronoi", "--basis", "3,0,-1,3")
+        assert code == 0
+        assert calls == [Basis2(Vec2(3, 0), Vec2(-1, 3))]
+
+    def test_bytes_equal_the_public_api(self, capsys):
+        from rootforms import voronoi_domain, voronoi_vectors
+
+        rng = make_rng(1301)
+        bases = [random_basis(rng) for _ in range(30)]
+        for _ in range(30):  # near-rectangular, some inside the tie band
+            eps = 10.0 ** float(rng.uniform(-13.0, -6.0)) * float(rng.choice([-1.0, 1.0]))
+            bases.append(Basis2(Vec2(1.0, 0.0), Vec2(eps, float(rng.uniform(0.5, 2.0)))))
+        for b in bases:
+            text = ",".join(repr(float(c)) for c in (*b.v1, *b.v2))
+            code, out, _ = run(capsys, "voronoi", f"--basis={text}")  # = for a leading minus
+            assert code == 0
+            rows = [",".join([str(v.coeffs[0]), str(v.coeffs[1]), format_number(v.vector.x),
+                              format_number(v.vector.y), "true" if v.strict else "false"])
+                    for v in voronoi_vectors(b)]
+            verts = [f"{format_number(p.x)},{format_number(p.y)}" for p in voronoi_domain(b).vertices]
+            assert out == "\n".join(["c1,c2,x,y,strict", *rows, "", "x,y", *verts]) + "\n", b
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -10,6 +10,7 @@ from helpers import (
     make_rng,
     random_basis,
     random_unimodular,
+    reference_clip_halfplane,
     reference_voronoi_vectors,
 )
 from rootforms import (
@@ -22,6 +23,8 @@ from rootforms import (
     voronoi_domain,
     voronoi_vectors,
 )
+from rootforms.records import parse_record_line, project_to_2d
+from rootforms.voronoi import TIE_TOL, _clip_halfplane
 
 SQUARE = Basis2(Vec2(1, 0), Vec2(0, 1))
 HEX = Basis2(Vec2(1, 0), Vec2(-0.5, math.sqrt(3) / 2))
@@ -61,10 +64,11 @@ class TestVoronoiVectors:
                 assert (rebuilt - v.vector).norm() <= 1e-9 * max(1.0, v.vector.norm())
 
 
-def _rotated_pair(angle, x2, y2):
-    """Basis ((1, 0), (x2, y2)) rotated by angle."""
+def _rotated_pair(angle, x2, y2, scale=1.0):
+    """Basis ((1, 0), (x2, y2)) rotated by angle, times scale."""
     c, s = math.cos(angle), math.sin(angle)
-    return Basis2(Vec2(c, s), Vec2(c * x2 - s * y2, s * x2 + c * y2))
+    return Basis2(Vec2(scale * c, scale * s),
+                  Vec2(scale * (c * x2 - s * y2), scale * (s * x2 + c * y2)))
 
 
 def _search_bases(family, rng):
@@ -178,3 +182,85 @@ class TestVerifyPartialSums:
         for _ in range(100):
             b = apply_unimodular(random_basis(rng), random_unimodular(rng))
             assert verify_partial_sums(reduce_to_obtuse(superbase_from_basis(b)))
+
+
+def _near_rectangular_superbases(seed, per_scale):
+    """Kernel-reduced superbases of rectangles sheared by +-10^U(-13, -6),
+    at scales 1e-150, 1 and 1e150."""
+    rng = make_rng(seed)
+    for scale in (1e-150, 1.0, 1e150):
+        for _ in range(per_scale):
+            eps = 10.0 ** float(rng.uniform(-13.0, -6.0)) * float(rng.choice([-1.0, 1.0]))
+            angle, y2 = float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.5, 2.0))
+            b = _rotated_pair(angle, eps, y2, scale)
+            yield reduce_to_obtuse(superbase_from_basis(b))
+
+
+class TestOneTieRule:
+    """The oracle judges strictness by voronoi_vectors' own rule: the class of
+    v_k is strict iff its partner v_i - v_j is longer than v_k by more than
+    TIE_TOL, relatively. Every kernel-reduced superbase passes, also where
+    the shear puts the partner near that band."""
+
+    @pytest.mark.parametrize("a,b", [("1", "1"), ("3.2", "5.1"), ("10", "10.5")])
+    @pytest.mark.parametrize("gamma", ["90.00000002", "90.00000004", "90.00000006"])
+    def test_near_right_cells_pass(self, a, b, gamma):
+        rec = parse_record_line(f"p,cell2,{a},{b},{gamma}", 1)
+        assert verify_partial_sums(reduce_to_obtuse(superbase_from_basis(project_to_2d(rec))))
+
+    def test_near_rectangular_family_passes(self):
+        failed = [s for s in _near_rectangular_superbases(9300, 300) if not verify_partial_sums(s)]
+        assert failed == []
+
+    def test_strict_flags_are_the_rule_on_two_lengths(self):
+        for s in _near_rectangular_superbases(9301, 100):
+            vvs = voronoi_vectors(Basis2(s.v1, s.v2))
+            tol = 1e-9 * max(v.norm() for v in s.vectors())
+
+            def near(v, u):
+                return min((v.vector - u).norm(), (v.vector + u).norm()) <= tol
+
+            for target, partner in ((s.v0, s.v1 - s.v2), (s.v1, s.v2 - s.v0), (s.v2, s.v0 - s.v1)):
+                strict = partner.norm() > target.norm() * (1.0 + TIE_TOL)
+                members = [v for v in vvs if near(v, target) or near(v, partner)]
+                assert len(members) == (2 if strict else 4), s
+                assert all(v.strict == strict for v in members), s
+
+
+def _bits(poly):
+    return [(p.x.hex(), p.y.hex()) for p in poly]
+
+
+class TestClipHalfplane:
+    """The crossing point is written in one place; the vertices are the
+    reference's, bit for bit."""
+
+    @staticmethod
+    def _convex_polygon(rng):
+        angles = sorted(map(float, rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(3, 9)))))
+        rx, ry = map(float, rng.uniform(0.5, 3.0, 2))
+        cx, cy = map(float, rng.uniform(-1.0, 1.0, 2))
+        return [Vec2(cx + rx * math.cos(t), cy + ry * math.sin(t)) for t in angles]
+
+    def _assert_same(self, poly, w, offset):
+        assert _bits(_clip_halfplane(poly, w, offset)) == _bits(
+            reference_clip_halfplane(poly, w, offset))
+
+    def test_seeded_polygons_and_lines(self):
+        rng = make_rng(9400)
+        for _ in range(300):
+            poly = self._convex_polygon(rng)
+            w = Vec2(*map(float, rng.normal(size=2)))
+            self._assert_same(poly, w, float(rng.uniform(-3.0, 3.0)))
+            p = poly[int(rng.integers(len(poly)))]
+            self._assert_same(poly, w, p.dot(w))  # through a vertex: dp == 0 there
+
+    def test_edge_on_the_line(self):
+        square = [Vec2(1.0, 1.0), Vec2(-1.0, 1.0), Vec2(-1.0, -1.0), Vec2(1.0, -1.0)]
+        for w in (Vec2(1.0, 0.0), Vec2(-1.0, 0.0), Vec2(0.0, 1.0), Vec2(0.0, -1.0)):
+            for offset in (1.0, -1.0, 0.0):
+                self._assert_same(square, w, offset)
+        diamond = [Vec2(2.0, 0.0), Vec2(0.0, 2.0), Vec2(-2.0, 0.0), Vec2(0.0, -2.0)]
+        for offset in (2.0, -2.0, 0.0):
+            self._assert_same(diamond, Vec2(1.0, 1.0), offset)
+        assert _clip_halfplane(square, Vec2(1.0, 0.0), 1.0) == square
