@@ -1,23 +1,25 @@
 """Command-line interface.
 
-Subcommands: reduce, rootform, dist, qt, grid, voronoi. rootform, qt and grid
-stream their input in one thread through records.iter_records: each line is
-parsed and reduced, then formatted or binned, before the next is read. The
-first bad line aborts the run, or with --lenient is skipped with a warning,
-so warnings come out in line order. grid checks its options before it reads
-the input. Each output, a file or stdout (-o - or no -o for rootform and qt;
-grid's paths are always files), is spooled to a temporary file (in TMPDIR) and
-copied out once complete, so no command leaves a partial file when it aborts. Memory is flat in the record count, and grid's is O(occupied pixels
-+ one band of rows) at any --res. -o files are UTF-8, as the input is.
-LATTICE_THREADS is accepted for compatibility and ignored. Numbers print with
-12 significant digits. A start imports only the modules its subcommand runs
-and adds only that subcommand's arguments to the parser.
+Subcommands, registered from one table (_COMMANDS): reduce, rootform, dist, qt,
+grid, voronoi. rootform, qt and grid stream their input in one thread through
+records.iter_records: each line is parsed and reduced, then formatted or
+binned, before the next is read. The first bad line aborts the run, or with
+--lenient is skipped with a warning, so warnings come out in line order. grid
+checks its options before it reads the input. Each output, a file or stdout
+(-o - or no -o for rootform and qt; grid's paths are always files), is
+spooled to a temporary file (in TMPDIR) and copied out once complete, so no
+command leaves a partial file when it aborts. Memory is flat in the record
+count, and grid's is O(occupied pixels + one band of rows) at any --res. -o
+files are UTF-8, as the input is. LATTICE_THREADS is ignored. Numbers print
+with 12 significant digits. A start imports only the modules its subcommand
+runs and adds only its arguments to the parser. Flag values may start with "-".
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 
 from .errors import LatticeError
@@ -185,6 +187,39 @@ def _cmd_voronoi(args) -> int:
     return 0
 
 
+# subcommand: (help, its arguments as (flags, add_argument keywords)), in usage order
+_BASIS = (("--basis",), dict(required=True, metavar="X1,Y1,X2,Y2"))
+_INPUT = (("-i", "--input"), dict(required=True))
+_LENIENT = (("--lenient",), dict(action="store_true"))
+_COMMANDS = {
+    "reduce": ("obtuse superbase, conorms, root form of one basis", [_BASIS]),
+    "rootform": ("root forms of a record file", [
+        _INPUT, (("-o", "--output"), dict(default=None, help="output CSV (default stdout)")),
+        (("--oriented",), dict(action="store_true",
+                               help="emit the cyclic-canonical oriented triple")),
+        _LENIENT]),
+    "dist": ("root metric between two lattices", [
+        (("--q",), dict(required=True, help="Minkowski order (>= 1 or 'inf')")),
+        (("--rf",), dict(metavar="A12,A01,A02")), (("--rf2",), dict(metavar="B12,B01,B02")),
+        (("--basis",), dict(metavar="X1,Y1,X2,Y2")), (("--basis2",), dict(metavar="X1,Y1,X2,Y2")),
+        (("--oriented",), dict(action="store_true"))]),
+    "qt": ("quotient-triangle coordinates of a record file", [
+        _INPUT, (("-o", "--output"), dict(required=True)),
+        (("--signed",), dict(action="store_true", help="negate x for negative (mirror) lattices")),
+        _LENIENT]),
+    "grid": ("density grid over root pairs or QT points", [
+        _INPUT, (("-o", "--output"), dict(required=True, help="output CSV path")),
+        (("--pgm",), dict(default=None, help="also write a binary PGM image")),
+        *((("--" + b,), dict(type=float, default=None)) for b in ("xmin", "xmax", "ymin", "ymax")),
+        (("--res",), dict(type=int, default=200)),
+        (("--mode",), dict(choices=("rootpair", "qt"), default="rootpair")),
+        _LENIENT]),
+    "voronoi": ("Voronoi vectors and domain of one basis", [_BASIS]),
+}
+# a number list that argparse takes for an option; compiled only once a value starts with "-"
+_NEGATIVE_VALUE = r"-N(,[-+]?N)*".replace("N", r"(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?")
+
+
 def _build_parser(command=None) -> argparse.ArgumentParser:
     """The CLI's parser. Every subcommand is registered, but when ``command``
     names one, only it gets its arguments; help, an unknown command or an
@@ -194,66 +229,23 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         description="Isometry invariants, metrics and density maps of 2D lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in ("reduce", "rootform", "dist", "qt", "grid", "voronoi")
-
-    p = sub.add_parser("reduce", help="obtuse superbase, conorms, root form of one basis")
-    p.set_defaults(func=_cmd_reduce)
-    if every or command == "reduce":
-        p.add_argument("--basis", required=True, metavar="X1,Y1,X2,Y2")
-
-    p = sub.add_parser("rootform", help="root forms of a record file")
-    p.set_defaults(func=_cmd_rootform)
-    if every or command == "rootform":
-        p.add_argument("-i", "--input", required=True)
-        p.add_argument("-o", "--output", default=None, help="output CSV (default stdout)")
-        p.add_argument("--oriented", action="store_true",
-                       help="emit the cyclic-canonical oriented triple")
-        p.add_argument("--lenient", action="store_true")
-
-    p = sub.add_parser("dist", help="root metric between two lattices")
-    p.set_defaults(func=_cmd_dist)
-    if every or command == "dist":
-        p.add_argument("--q", required=True, help="Minkowski order (>= 1 or 'inf')")
-        p.add_argument("--rf", metavar="A12,A01,A02")
-        p.add_argument("--rf2", metavar="B12,B01,B02")
-        p.add_argument("--basis", metavar="X1,Y1,X2,Y2")
-        p.add_argument("--basis2", metavar="X1,Y1,X2,Y2")
-        p.add_argument("--oriented", action="store_true")
-
-    p = sub.add_parser("qt", help="quotient-triangle coordinates of a record file")
-    p.set_defaults(func=_cmd_qt)
-    if every or command == "qt":
-        p.add_argument("-i", "--input", required=True)
-        p.add_argument("-o", "--output", required=True)
-        p.add_argument("--signed", action="store_true",
-                       help="negate x for negative (mirror) lattices")
-        p.add_argument("--lenient", action="store_true")
-
-    p = sub.add_parser("grid", help="density grid over root pairs or QT points")
-    p.set_defaults(func=_cmd_grid)
-    if every or command == "grid":
-        p.add_argument("-i", "--input", required=True)
-        p.add_argument("-o", "--output", required=True, help="output CSV path")
-        p.add_argument("--pgm", default=None, help="also write a binary PGM image")
-        p.add_argument("--xmin", type=float, default=None)
-        p.add_argument("--xmax", type=float, default=None)
-        p.add_argument("--ymin", type=float, default=None)
-        p.add_argument("--ymax", type=float, default=None)
-        p.add_argument("--res", type=int, default=200)
-        p.add_argument("--mode", choices=("rootpair", "qt"), default="rootpair")
-        p.add_argument("--lenient", action="store_true")
-
-    p = sub.add_parser("voronoi", help="Voronoi vectors and domain of one basis")
-    p.set_defaults(func=_cmd_voronoi)
-    if every or command == "voronoi":
-        p.add_argument("--basis", required=True, metavar="X1,Y1,X2,Y2")
-
+    for name, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=globals()[f"_cmd_{name}"])  # at build time: tracers patch _cmd_*
+        if command not in _COMMANDS or command == name:
+            for flags, keywords in arguments:
+                p.add_argument(*flags, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv else None
+    takes = {f for fs, kw in _COMMANDS.get(command, ("", ()))[1] if "action" not in kw for f in fs}
+    for i in range((argv + ["--"]).index("--") - 1, 1, -1):  # "--xmin -1" -> "--xmin=-1"
+        if argv[i - 1] in takes and argv[i][:1] == "-" and re.fullmatch(_NEGATIVE_VALUE, argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # unreadable or unwritable files, LatticeError

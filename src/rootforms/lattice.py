@@ -401,6 +401,8 @@ def oriented_root_form(b: Basis2) -> tuple[OrientedRootForm, LatticeSign]:
     the minimum root product to the front fixes the representative. The sign
     is positive when the last two entries ascend, negative when they descend,
     and neutral when the lattice is achiral (then the triple is fully sorted).
+    The neutral rule is the contract: with the root products sorted as
+    a <= b <= c, neutral exactly when min(a, b - a, c - b) <= SIGN_TOL * c.
     """
     x1, y1 = b.v1
     x2, y2 = b.v2

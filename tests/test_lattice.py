@@ -37,6 +37,8 @@ from rootforms import (
     reduce_to_obtuse,
     root_form,
     root_form_from_values,
+    root_metric,
+    root_metric_oriented,
     squared_norm_from_conorms,
     superbase_from_basis,
     vonorms,
@@ -493,3 +495,44 @@ class TestObtuseInvariants:
         for cls in (Superbase2, ObtuseSuperbase):
             with pytest.raises(ValueError, match=r"^superbase vectors sum to \(2, 1\), not zero$"):
                 cls(Vec2(1, 0), Vec2(1, 0), Vec2(0, 1))
+
+
+def _equivariance_bases():
+    """300 pinned bases: Gaussian ones, and half of them moved by a unimodular
+    matrix so that the reduction makes passes."""
+    rng = make_rng(20261019)
+    bases = [random_basis(rng) for _ in range(300)]
+    moved = [apply_unimodular(b, random_unimodular(rng)) for b in bases[::2]]
+    return [(*b.v1, *b.v2) for b in bases[1::2] + moved]
+
+
+def _scaled_results(bases, k):
+    """Per basis: its kernel result, QT point and root metrics to the next basis,
+    all on the coordinates scaled by 2^k."""
+    runs = [oriented_root_products(*(math.ldexp(x, k) for x in b)) for b in bases]
+    out = []
+    for (xy, orf, sign, passes), (_, nxt, _, _) in zip(runs, runs[1:] + runs[:1]):
+        metrics = [m(orf, nxt, q) for m in (root_metric, root_metric_oriented)
+                   for q in (2.0, math.inf)]
+        out.append((xy, orf, metrics, sign, passes, qt_coords(*sorted(orf))))
+    return out
+
+
+class TestPowerOfTwoEquivariance:
+    """Scaling a basis by 2^k is exact in floats, so every length the kernel and
+    the metrics compute scales by exactly 2^k, and every ratio, sign and pass
+    count stays put: no tolerance. The range is where it holds today; squared
+    lengths of these bases stay normal floats there."""
+
+    BASES = _equivariance_bases()
+    UNSCALED = _scaled_results(BASES, 0)
+
+    @pytest.mark.parametrize("k", range(-500, 501, 7))
+    def test_lengths_scale_and_the_rest_stays(self, k):
+        assert any(r[4] for r in self.UNSCALED)  # some bases take reduction passes
+        for got, want in zip(_scaled_results(self.BASES, k), self.UNSCALED):
+            xy, orf, metrics, sign, passes, qt = got
+            assert xy == tuple(math.ldexp(x, k) for x in want[0])
+            assert orf == tuple(math.ldexp(r, k) for r in want[1])
+            assert metrics == [math.ldexp(d, k) for d in want[2]]
+            assert (sign, passes, qt) == want[3:]
