@@ -81,7 +81,7 @@ def _write_rows(header: str, rows, out) -> None:
     from itertools import islice
 
     out.write(header.encode() + b"\n")
-    while batch := list(islice(rows, 1024)):  # a write per row costs 3x as much
+    while batch := list(islice(rows, 1024)):
         out.write(("\n".join(batch) + "\n").encode())
 
 
@@ -96,9 +96,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _record_forms(rec: LatticeRecord):
-    """(id, oriented root products, sign) of a record, on floats throughout.
-
-    oriented_root_products' two steps, called here directly: one frame fewer."""
+    """(id, oriented root products, sign) of a record, on floats throughout,
+    by oriented_root_products' two steps."""
     x1, y1, x2, y2 = rec.params if rec.kind == "basis" else basis_coords(rec)
     check_basis(x1, y1, x2, y2)
     _, orf, sign, _ = _oriented_root_products(x1, y1, x2, y2)
@@ -216,8 +215,10 @@ _COMMANDS = {
         _LENIENT]),
     "voronoi": ("Voronoi vectors and domain of one basis", [_BASIS]),
 }
-# a number list that argparse takes for an option; compiled only once a value starts with "-"
-_NEGATIVE_VALUE = r"-N(,[-+]?N)*".replace("N", r"(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?")
+# a number list, inf and nan in any case included, that argparse takes for an
+# option; compiled only once a value starts with "-"
+_NEGATIVE_VALUE = r"(?i)-N(,[-+]?N)*".replace(
+    "N", r"((\d+(\.\d*)?|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)")
 
 
 def _build_parser(command=None) -> argparse.ArgumentParser:
@@ -241,10 +242,16 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
-    takes = {f for fs, kw in _COMMANDS.get(command, ("", ()))[1] if "action" not in kw for f in fs}
+    # each option string of the command, -h/--help included: does it take a value?
+    takes = {f: "action" not in kw for fs, kw in _COMMANDS.get(command, ("", ()))[1] for f in fs}
+    takes.update({"-h": False, "--help": False})
     for i in range((argv + ["--"]).index("--") - 1, 1, -1):  # "--xmin -1" -> "--xmin=-1"
-        if argv[i - 1] in takes and argv[i][:1] == "-" and re.fullmatch(_NEGATIVE_VALUE, argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        flag, value = argv[i - 1], argv[i]
+        if flag not in takes and flag[:2] == "--":  # as argparse abbreviates: one prefix match
+            found = [f for f in takes if f.startswith(flag)]
+            flag = found[0] if len(found) == 1 else None
+        if takes.get(flag) and value[:1] == "-" and re.fullmatch(_NEGATIVE_VALUE, value):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={value}"]
     args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)

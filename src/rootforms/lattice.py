@@ -407,7 +407,7 @@ def oriented_root_form(b: Basis2) -> tuple[OrientedRootForm, LatticeSign]:
     x1, y1 = b.v1
     x2, y2 = b.v2
     _, w, sign, _ = _oriented_root_products(x1, y1, x2, y2)
-    return tuple.__new__(OrientedRootForm, w), sign  # the named tuple's __new__ is a frame more
+    return tuple.__new__(OrientedRootForm, w), sign
 
 
 def orient_obtuse(obt: ObtuseSuperbase) -> tuple[OrientedRootForm, LatticeSign]:

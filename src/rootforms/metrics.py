@@ -189,12 +189,14 @@ def _aligned_sq(v, u, bound: float) -> float:
     The minimum of the largest misfit lies at one sinusoid's own minimum or
     where two cross; each crossing is a root of a quadratic in tan(s/2).
     """
+    atan, atan2, copysign = math.atan, math.atan2, math.copysign
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
     (u0x, u0y), (u1x, u1y), (u2x, u2y) = u
     (v0x, v0y), (v1x, v1y), (v2x, v2y) = v
     dot = 0.0 + (u0x * v0x + u0y * v0y) + (u1x * v1x + u1y * v1y) + (u2x * v2x + u2y * v2y)
     crs = 0.0 + (u0x * v0y - u0y * v0x) + (u1x * v1y - u1y * v1x) + (u2x * v2y - u2y * v2x)
-    t0 = math.atan2(crs, dot)
-    c0, s0 = math.cos(t0), math.sin(t0)
+    t0 = atan2(crs, dot)
+    c0, s0 = cos(t0), sin(t0)
     terms = []
     for ux, uy, vx, vy in ((u0x, u0y, v0x, v0y), (u1x, u1y, v1x, v1y), (u2x, u2y, v2x, v2y)):
         wx, wy = c0 * ux - s0 * uy, s0 * ux + c0 * uy
@@ -205,7 +207,7 @@ def _aligned_sq(v, u, bound: float) -> float:
     # s = pi also stands for the crossing at tan(s/2) = infinity
     offsets = [0.0, math.pi]
     for i, (e_i, p_i, q_i) in enumerate(terms):
-        offsets.append(math.atan2(-q_i, p_i))
+        offsets.append(atan2(-q_i, p_i))
         for e_j, p_j, q_j in terms[i + 1:]:
             a, b, c = e_i - e_j + 4.0 * (p_i - p_j), 4.0 * (q_i - q_j), e_i - e_j
             m = max(abs(a), abs(b), abs(c))
@@ -215,17 +217,24 @@ def _aligned_sq(v, u, bound: float) -> float:
             disc = b * b - 4.0 * a * c
             if disc < 0.0:
                 continue
-            h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            h = -0.5 * (b + copysign(sqrt(disc), b))
             for num, den in ((h, a), (c, h)):  # cancellation-free roots
                 if den != 0.0:
-                    offsets.append(2.0 * math.atan(num / den))
+                    offsets.append(2.0 * atan(num / den))
     best = bound
     for s in offsets:
-        # direct subtraction: no cancellation near a perfect match
-        c, sn = math.cos(t0 + s), math.sin(t0 + s)
+        # direct subtraction: no cancellation near a perfect match. An angle
+        # is dropped at its first misfit >= best: its largest cannot win
+        c, sn = cos(t0 + s), sin(t0 + s)
         m0 = (c * u0x - sn * u0y - v0x) ** 2 + (sn * u0x + c * u0y - v0y) ** 2
+        if m0 >= best:
+            continue
         m1 = (c * u1x - sn * u1y - v1x) ** 2 + (sn * u1x + c * u1y - v1y) ** 2
+        if m1 >= best:
+            continue
         m2 = (c * u2x - sn * u2y - v2x) ** 2 + (sn * u2x + c * u2y - v2y) ** 2
+        if m2 >= best:
+            continue
         worst = m0 if m0 >= m1 else m1
         if m2 > worst:
             worst = m2

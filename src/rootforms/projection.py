@@ -19,7 +19,8 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateLattice
-from .lattice import _NEGATIVE, LatticeSign, ObtuseSuperbase, OrientedRootForm, RootForm, Vec2
+from .lattice import (_NEGATIVE, LatticeSign, ObtuseSuperbase, OrientedRootForm, RootForm, Vec2,
+                      check_basis)
 
 
 class BarycentricTriple(NamedTuple):
@@ -63,7 +64,7 @@ def to_full_triangle(rf: RootForm) -> BarycentricTriple:
 def qt_coords(r12: float, r01: float, r02: float) -> tuple[float, float]:
     """Quotient-triangle (x, y) of an ascending root-product triple, on floats."""
     total = r12 + r01 + r02
-    if 0.0 < total < math.inf:  # _shares' own first case, inline: one frame fewer per point
+    if 0.0 < total < math.inf:  # _shares' own first case, inline
         b12, b01, b02 = r12 / total, r01 / total, r02 / total
     else:
         b12, b01, b02 = _shares(r12, r01, r02)
@@ -93,9 +94,11 @@ def reconstruct_superbase(
 ) -> ObtuseSuperbase:
     """Canonical obtuse superbase realising a root form.
 
-    The conorms of the result are exactly the squared root products, so the
-    root form round-trips. Passing LatticeSign.NEGATIVE places v2 clockwise,
-    producing the mirror-image representative.
+    The conorms of the result are the squared root products up to rounding,
+    so the root form round-trips. Passing LatticeSign.NEGATIVE places v2
+    clockwise, producing the mirror-image representative. The basis is
+    checked once, by check_basis; the superbase sums to zero and is obtuse
+    by construction, so it is built unchecked.
     """
     r12, r01, r02 = rf
     len1 = math.hypot(r12, r01)
@@ -107,6 +110,10 @@ def reconstruct_superbase(
     sin_a = math.sqrt(1.0 - cos_a * cos_a)
     if sign is _NEGATIVE:
         sin_a = -sin_a
-    v1 = Vec2(len1, 0.0)
-    v2 = Vec2(len2 * cos_a, len2 * sin_a)
-    return ObtuseSuperbase(-(v1 + v2), v1, v2, reduction_steps=0)
+    x2, y2 = len2 * cos_a, len2 * sin_a
+    if not (len1 < math.inf and len2 < math.inf):  # False for NaN too; |cos_a|, |sin_a| <= 1
+        Vec2(len1, 0.0), Vec2(x2, y2)  # raises Vec2's error for the first non-finite vector
+    check_basis(len1, 0.0, x2, y2)  # so y2 != 0, and v0 = -(v1 + v2) is (-(len1 + x2), -y2)
+    v0 = tuple.__new__(Vec2, (-(len1 + x2), -y2))
+    v1, v2 = tuple.__new__(Vec2, (len1, 0.0)), tuple.__new__(Vec2, (x2, y2))
+    return tuple.__new__(ObtuseSuperbase, (v0, v1, v2, 0))

@@ -622,6 +622,28 @@ def reference_to_quotient_triangle_oriented(orf, sign: LatticeSign) -> QTPoint:
     return QTPoint(x, y, -x if sign is LatticeSign.NEGATIVE else x)
 
 
+# Reference reconstruction: reconstruct_superbase as it was before it checked
+# the basis once and built its result unchecked, through the Vec2 and
+# ObtuseSuperbase constructors and Vec2 arithmetic. The unchecked build must
+# return the same bits and types, and raise the same errors.
+
+
+def reference_reconstruct_superbase(rf, sign: LatticeSign = LatticeSign.POSITIVE):
+    r12, r01, r02 = rf
+    len1 = math.hypot(r12, r01)
+    len2 = math.hypot(r12, r02)
+    if len1 <= 0.0 or len2 <= 0.0:
+        raise DegenerateLattice(f"root form {tuple(map(float, rf))} has a vanishing basis vector")
+    cos_a = -(r12 / len1) * (r12 / len2)
+    cos_a = max(-1.0, min(1.0, cos_a))
+    sin_a = math.sqrt(1.0 - cos_a * cos_a)
+    if sign is LatticeSign.NEGATIVE:
+        sin_a = -sin_a
+    v1 = Vec2(len1, 0.0)
+    v2 = Vec2(len2 * cos_a, len2 * sin_a)
+    return ObtuseSuperbase(-(v1 + v2), v1, v2, reduction_steps=0)
+
+
 def reference_accumulate_grid(points, spec: GridSpec) -> DensityGrid:
     res = spec.resolution
     counts: dict[int, int] = {}

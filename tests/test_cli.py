@@ -706,6 +706,10 @@ BAD_ARGV = [
     ["reduce", "--basis", "-h"], ["reduce", "--basis", "-x"], ["reduce", "--basis", "-1-2,0,0,1"],
     ["rootform", "-i", "--lenient"], ["grid", "-i", "x", "-o", "y", "--xmin", "--lenient"],
     ["reduce", "--basis", "1,0,0,1", "--", "--basis", "-1,0,0,1"],
+    # a prefix of several option strings stays ambiguous, and one of -h/--help asks for help
+    ["dist", "--q", "2", "--bas", "-1,0,0,1"], ["grid", "-i", "x", "-o", "y", "--xm", "-1"],
+    ["rootform", "-i", "x", "--o", "-1"], ["reduce", "--h", "-1,0,0,1"],
+    ["reduce", "--basis", "-infin,0,0,1"],
 ]
 
 
@@ -747,15 +751,40 @@ class TestParserParity:
 class TestNegativeValues:
     """A value flag takes a number list that starts with "-" as its value."""
 
-    @pytest.mark.parametrize("argv", [
-        ["reduce", "--basis", "-1,0,0,1"],
-        ["voronoi", "--basis", "-1,0,0,1"],
-        ["dist", "--q", "2", "--basis", "1,0,0,1", "--basis2", "-1,0.5,0,1"],
+    @pytest.mark.parametrize("argv, code", [
+        (["reduce", "--basis", "-1,0,0,1"], 0),
+        (["voronoi", "--basis", "-1,0,0,1"], 0),
+        (["dist", "--q", "2", "--basis", "1,0,0,1", "--basis2", "-1,0.5,0,1"], 0),
+        # a unique prefix of a value flag, as argparse abbreviates it
+        (["reduce", "--bas", "-1,0,0,1"], 0),
+        (["voronoi", "--b", "-1,0,0,1"], 0),
+        (["dist", "--q", "inf", "--rf", "1,2,3", "--rf2", "-1,2,3"], 1),
+        # inf, infinity and nan in any case are numbers too
+        (["reduce", "--basis", "-inf,0,0,1"], 1),
+        (["reduce", "--bas", "-Infinity,0,0,1"], 1),
+        (["reduce", "--basis", "-NaN,0,0,1"], 1),
+        (["dist", "--q", "2", "--basis", "1,0,0,1", "--basis2", "-1,-INF,0,1"], 1),
+        (["dist", "--q", "-inf", "--rf", "1,2,3", "--rf2", "1,2,4"], 1),
     ])
-    def test_prints_the_bytes_of_the_equals_form(self, capsys, argv):
+    def test_prints_the_bytes_of_the_equals_form(self, capsys, argv, code):
         joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
         spaced = run(capsys, *argv)
-        assert spaced[0] == 0 and spaced == run(capsys, *joined)
+        assert spaced[0] == code and spaced == run(capsys, *joined)
+
+    def test_non_finite_basis_error(self, capsys):
+        assert run(capsys, "reduce", "--basis", "-inf,0,0,1") == (
+            1, "", "error: non-finite vector (-inf, 0.0)\n")
+
+    def test_pattern_is_matched_only_against_a_dash_value(self, capsys, monkeypatch, tmp_path):
+        # option tokens follow values here, but no value of a value flag starts with "-"
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text(RECORDS)
+        calls = []
+        monkeypatch.setattr(cli, "re", type("re", (), {"fullmatch": lambda *a: calls.append(a)}))
+        assert run(capsys, "rootform", "-i", str(src), "-o", str(dst), "--oriented")[0] == 0
+        assert run(capsys, "reduce", "--basis", "1,0,0,1")[0] == 0
+        assert run(capsys, "reduce", "--bas", "1,0,0,1")[0] == 0
+        assert calls == []
 
     def test_reduce_row(self, capsys):
         assert run(capsys, "reduce", "--basis", "-1,0,0,1") == (0, (
@@ -767,12 +796,13 @@ class TestNegativeValues:
         src.write_text(RECORDS)
         files = []
         for name, bounds in [("spaced", ["--xmin", "-1e-3", "--ymin", "-0.5"]),
+                             ("abbreviated", ["--xmi", "-1e-3", "--ymi", "-0.5"]),
                              ("joined", ["--xmin=-1e-3", "--ymin=-0.5"])]:
             csv, pgm = tmp_path / f"{name}.csv", tmp_path / f"{name}.pgm"
             assert run(capsys, "grid", "-i", str(src), "-o", str(csv), "--pgm", str(pgm),
                        "--res", "7", *bounds) == (0, "", "")
             files.append((csv.read_bytes(), pgm.read_bytes()))
-        assert files[0] == files[1]
+        assert files[0] == files[1] == files[2]
 
     def test_commands_are_looked_up_when_the_parser_is_built(self, capsys, monkeypatch):
         # the benchmark's traced runs replace cli._cmd_* before they call main

@@ -3,11 +3,13 @@
 import math
 from decimal import Decimal
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from helpers import (
+    _reference_aligned_sq,
     make_rng,
     oracle_superbase_distance_linf,
     perturbed_superbase,
@@ -33,6 +35,7 @@ from rootforms import (
     root_metric_oriented,
     superbase_distance_linf,
 )
+from rootforms.metrics import _aligned_sq
 
 INF = math.inf
 SQ6, SQ7 = math.sqrt(6), math.sqrt(7)
@@ -438,6 +441,26 @@ def test_ranked_alignment_is_bit_identical_to_the_full_search(family):
         for reflect in (True, False):
             got = superbase_distance_linf(s, t, allow_reflection=reflect)
             assert got == reference_superbase_distance_linf(s, t, reflect), (family, reflect)
+
+
+@pytest.mark.parametrize("family", ALIGNMENT_FAMILIES)
+def test_each_relabelling_sweep_is_bit_identical_to_the_reference(family):
+    # every relabelling and mirror on its own, so an angle dropped too early in
+    # a relabelling that loses cannot hide behind the minimum over all twelve:
+    # at bound inf, at the pair's distance (most sweeps lose) and around the
+    # relabelling's own minimum (some angles win, some are dropped)
+    rng = make_rng(7100 + sum(map(ord, family)))
+    for s, t in _alignment_pairs(family, rng):
+        v = tuple((w.x, w.y) for w in s.vectors())
+        u = tuple((w.x, w.y) for w in t.vectors())
+        best = superbase_distance_linf(s, t) ** 2
+        for um in (u, tuple((x, -y) for x, y in u)):
+            for perm in permutations(um):
+                own = _reference_aligned_sq(v, perm, INF)
+                assert _aligned_sq(v, perm, INF) == own, (family, perm)
+                for bound in (best, 0.5 * own, 1.5 * own, 4.0 * own):
+                    want = _reference_aligned_sq(v, perm, bound)
+                    assert _aligned_sq(v, perm, bound) == want, (family, perm, bound)
 
 
 @pytest.mark.parametrize("e", [150, 153, 153.8, 154])

@@ -1,8 +1,10 @@
-"""oriented_root_form and to_quotient_triangle_oriented keep their former results.
+"""oriented_root_form, to_quotient_triangle_oriented and reconstruct_superbase
+keep their former results.
 
-Both run in one frame. tests/helpers.py keeps their former forms, which built
-the results through the named-tuple constructors, sorted() and the
-LatticeSign class attribute, as references. A result must equal the
+The first two run in one frame; reconstruct_superbase checks its basis once
+and builds its result unchecked. tests/helpers.py keeps their former forms,
+which built the results through the named-tuple constructors, sorted() and
+the LatticeSign class attribute, as references. A result must equal the
 reference's in value, in the sign bit of every entry and in type, and the
 sign must be the same LatticeSign member; an error must have the same class
 and message.
@@ -22,12 +24,14 @@ from helpers import (
     random_basis,
     random_unimodular,
     reference_oriented_root_form,
+    reference_reconstruct_superbase,
     reference_to_quotient_triangle_oriented,
     reflected_basis,
     rotated_basis,
 )
-from rootforms import Basis2, LatticeSign, OrientedRootForm, Vec2, oriented_root_form
-from rootforms.errors import DegenerateLattice, LatticeError
+from rootforms import (Basis2, LatticeSign, ObtuseSuperbase, OrientedRootForm, RootForm, Vec2,
+                       oriented_root_form, reconstruct_superbase)
+from rootforms.errors import DegenerateBasis, DegenerateLattice, LatticeError
 from rootforms.projection import QTPoint, to_quotient_triangle_oriented
 
 N = 300
@@ -157,3 +161,44 @@ def test_oriented_root_form_errors_match():
     # a plain pair of pairs is not a Basis2, as before
     pair = ((1.0, 0.0), (0.0, 1.0))
     assert _outcome(oriented_root_form, pair) == _outcome(reference_oriented_root_form, pair)
+
+
+def _signed_magnitudes(rng, size):
+    """Magnitudes log-uniform in [1e-320, 1e308], each with a random sign."""
+    return rng.choice((-1.0, 1.0), size=size) * 10.0 ** rng.uniform(-320.0, 308.0, size=size)
+
+
+def _root_forms(rng):
+    """Root forms that RootForm does not check: entries at independent scales,
+    one common scale, a zero first entry, and NaN, inf, zeros and the range's
+    ends in every position."""
+    out = [RootForm(*map(float, _signed_magnitudes(rng, 3))) for _ in range(N)]
+    for scale in _signed_magnitudes(rng, N):
+        out.append(RootForm(*map(float, scale * rng.uniform(0.05, 3.0, size=3))))
+    for r01, r02 in zip(_signed_magnitudes(rng, N), _signed_magnitudes(rng, N)):
+        out.append(RootForm(0.0, float(r01), float(r02)))
+    for scale in 10.0 ** rng.uniform(-320.0, 308.0, size=N):
+        out.append(RootForm(-0.0, *sorted(map(float, scale * rng.uniform(0.05, 3.0, size=2)))))
+    values = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -2.5, 1e-320, 1e308)
+    out += [RootForm(*triple) for triple in itertools.product(values, repeat=3)]
+    return out
+
+
+def test_reconstruct_superbase_is_bit_identical():
+    outcomes = Counter()
+    for rf in _root_forms(make_rng(8)):
+        for sign in LatticeSign:
+            got = _outcome(reconstruct_superbase, rf, sign)
+            want = _outcome(reference_reconstruct_superbase, rf, sign)
+            if isinstance(want, ObtuseSuperbase):
+                assert type(got) is ObtuseSuperbase, (rf, sign, got)
+                for g, w in zip(got.vectors(), want.vectors()):
+                    _assert_same_tuple(g, w, Vec2)
+                assert type(got.reduction_steps) is int and got.reduction_steps == 0
+                outcomes["built"] += 1
+            else:
+                assert got == want, (rf, sign)
+                outcomes[want[0]] += 1
+    # every error the construction can raise, and results at both ends of the range
+    assert all(outcomes[k] > 0 for k in ("built", DegenerateLattice, ValueError, LatticeError,
+                                         DegenerateBasis)), outcomes
