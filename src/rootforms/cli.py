@@ -123,9 +123,7 @@ def _cmd_dist(args) -> int:
     if args.rf is not None:
         a = _parse_floats(args.rf, 3, "--rf")
         b = _parse_floats(args.rf2, 3, "--rf2")
-        # no negative entry and at most one zero; the metrics sort or rotate
-        root_form_from_values(*a)
-        root_form_from_values(*b)
+        root_form_from_values(*a), root_form_from_values(*b)  # checks; the metrics sort or rotate
     elif args.basis is not None:
         a = oriented_root_form(_basis_from_flag(args.basis))[0]
         b = oriented_root_form(_basis_from_flag(args.basis2))[0]

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Each class derives from LatticeError, a ValueError; the checks of Vec2, the
-Superbase2 sum, QTPoint, root-product triples and grid formats raise a plain
-ValueError, so catching ValueError catches every error of the package.
+Superbase2 sum, QTPoint, RootForm, OrientedRootForm, root-product triples and
+grid formats raise a ValueError too, so catching ValueError catches them all.
 """
 
 

@@ -15,10 +15,11 @@ check_basis alone decides that a basis is degenerate, and two conorms <= 0
 that a lattice is; every tolerance scales with the input, none is absolute.
 
 The value types are immutable named tuples, so they also unpack, index and
-compare equal to plain tuples of the same values. Vec2, Basis2, Superbase2
-and ObtuseSuperbase check their arguments when constructed, also through the
-named-tuple helpers _make and _replace, and nothing checks them again: not
-Vec2 arithmetic, oriented_root_form, or reduce_to_obtuse and its result.
+compare equal to plain tuples of the same values. Vec2, Basis2, Superbase2,
+ObtuseSuperbase, RootForm and OrientedRootForm check their arguments when
+constructed, also through the named-tuple helpers _make and _replace, and
+nothing checks them again: not Vec2 arithmetic, the root forms the kernel
+builds, or reduce_to_obtuse and its result.
 """
 
 import math
@@ -109,20 +110,32 @@ class VonormTriple(NamedTuple):
     n2: float
 
 
-class RootForm(NamedTuple):
+class RootForm(NamedTuple("RootForm", [("r12", float), ("r01", float), ("r02", float)])):
     """Ascending triple of root products; complete isometry invariant.
 
-    Entries satisfy 0 <= r12 <= r01 <= r02 with r01 > 0 (at most the first
-    entry may vanish). Use :func:`root_form_from_values` to build one from
-    an unsorted or unchecked triple.
+    The constructor checks, without sorting: finite entries, 0 <= r12 <= r01
+    <= r02 and r01 > 0 (at most r12 vanishes). root_form_from_values sorts.
     """
 
-    r12: float
-    r01: float
-    r02: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __new__(cls, r12: float, r01: float, r02: float):
+        if not (0.0 <= r12 <= r01 <= r02 < math.inf and r01 > 0.0):  # False for NaN too
+            t = (float(r12), float(r01), float(r02))
+            r = sorted(t)  # the first clause of the rule it breaks names the error
+            if not all(map(math.isfinite, r)):
+                raise ValueError(f"non-finite root product in {t}")
+            if r[0] < 0.0:
+                raise ValueError(f"negative root product {r[0]:g}")
+            if r[1] <= 0.0:
+                raise DegenerateLattice("two root products vanish")
+            raise ValueError(f"root products {t} are not ascending")
+        return tuple.__new__(cls, (r12, r01, r02))
 
 
-class OrientedRootForm(NamedTuple):
+class OrientedRootForm(NamedTuple("OrientedRootForm",
+                                  [("first", float), ("second", float), ("third", float)])):
     """Root products canonicalised only up to cyclic rotation.
 
     The smallest entry comes first; the remaining two keep the cyclic order
@@ -130,9 +143,12 @@ class OrientedRootForm(NamedTuple):
     the last two entries swapped. Neutral lattices are fully sorted.
     """
 
-    first: float
-    second: float
-    third: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __new__(cls, first: float, second: float, third: float):
+        RootForm(first, *sorted((second, third)))  # RootForm's rule, the first the smallest
+        return tuple.__new__(cls, (first, second, third))
 
 
 class LatticeSign(Enum):
@@ -376,20 +392,13 @@ def reduce_to_obtuse(s: Superbase2) -> ObtuseSuperbase:
 
 
 def root_form(s: ObtuseSuperbase) -> RootForm:
-    """Ascending root products of an obtuse superbase."""
-    return RootForm(*sorted(orient_obtuse(s)[0]))
+    """Ascending root products of an obtuse superbase, a root form by construction."""
+    return tuple.__new__(RootForm, sorted(orient_obtuse(s)[0]))
 
 
 def root_form_from_values(a: float, b: float, c: float) -> RootForm:
-    """Sort and validate an arbitrary finite nonnegative triple into a RootForm."""
-    r = sorted((float(a), float(b), float(c)))
-    if not all(map(math.isfinite, r)):
-        raise ValueError(f"non-finite root product in {tuple(r)}")
-    if r[0] < 0.0:
-        raise ValueError(f"negative root product {r[0]:g}")
-    if r[1] <= 0.0:
-        raise DegenerateLattice("two root products vanish")
-    return RootForm(*r)
+    """Sort an arbitrary triple of floats into a RootForm, which checks it."""
+    return RootForm(*sorted((float(a), float(b), float(c))))
 
 
 def oriented_root_form(b: Basis2) -> tuple[OrientedRootForm, LatticeSign]:
@@ -413,7 +422,7 @@ def oriented_root_form(b: Basis2) -> tuple[OrientedRootForm, LatticeSign]:
 def orient_obtuse(obt: ObtuseSuperbase) -> tuple[OrientedRootForm, LatticeSign]:
     """:func:`oriented_root_form` of a superbase that is already reduced."""
     w, sign = _obtuse_root_products(obt.v0.x, obt.v0.y, obt.v1.x, obt.v1.y, obt.v2.x, obt.v2.y)
-    return OrientedRootForm(*w), sign
+    return tuple.__new__(OrientedRootForm, w), sign
 
 
 def squared_norm_from_conorms(c: ConormTriple, c1: int, c2: int) -> float:

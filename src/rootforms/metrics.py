@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .errors import LatticeError
 from .lattice import ObtuseSuperbase
 
 _INF = math.inf
@@ -170,12 +171,15 @@ def superbase_distance_linf(
         bounds = [-_INF] * len(bounds)
     margin = 1e-9 * total
     best = _INF
-    for n in sorted(range(len(bounds)), key=bounds.__getitem__):  # stable: ties keep index order
-        if bounds[n] - margin >= 3.0 * best:
-            break
-        um = u if n < 6 else mirrored
-        i, j, k = _RELABELLINGS[n % 6]
-        best = _aligned_sq(v, (um[i], um[j], um[k]), best)
+    try:
+        for n in sorted(range(len(bounds)), key=bounds.__getitem__):  # stable: ties keep order
+            if bounds[n] - margin >= 3.0 * best:
+                break
+            um = u if n < 6 else mirrored
+            i, j, k = _RELABELLINGS[n % 6]
+            best = _aligned_sq(v, (um[i], um[j], um[k]), best)
+    except OverflowError:  # from ** 2 in _aligned_sq, for vectors near 1e154
+        raise LatticeError("the squared misfits overflow; rescale the superbases") from None
     return math.sqrt(best)
 
 

@@ -96,23 +96,17 @@ def reconstruct_superbase(
 
     The conorms of the result are the squared root products up to rounding,
     so the root form round-trips. Passing LatticeSign.NEGATIVE places v2
-    clockwise, producing the mirror-image representative. The basis is
-    checked once, by check_basis; the superbase sums to zero and is obtuse
-    by construction, so it is built unchecked.
+    clockwise, producing the mirror-image representative. RootForm checks rf
+    (any other triple is made one), so |cos_a| <= 1/2; check_basis checks the
+    basis once, overflow included. The superbase sums to zero and is obtuse by
+    construction, so it is built unchecked.
     """
-    r12, r01, r02 = rf
+    r12, r01, r02 = rf if isinstance(rf, RootForm) else RootForm(*rf)
     len1 = math.hypot(r12, r01)
     len2 = math.hypot(r12, r02)
-    if len1 <= 0.0 or len2 <= 0.0:
-        raise DegenerateLattice(f"root form {tuple(map(float, rf))} has a vanishing basis vector")
     cos_a = -(r12 / len1) * (r12 / len2)  # len1 * len2 underflows below about 1e-154
-    cos_a = max(-1.0, min(1.0, cos_a))
     sin_a = math.sqrt(1.0 - cos_a * cos_a)
-    if sign is _NEGATIVE:
-        sin_a = -sin_a
-    x2, y2 = len2 * cos_a, len2 * sin_a
-    if not (len1 < math.inf and len2 < math.inf):  # False for NaN too; |cos_a|, |sin_a| <= 1
-        Vec2(len1, 0.0), Vec2(x2, y2)  # raises Vec2's error for the first non-finite vector
+    x2, y2 = len2 * cos_a, len2 * (-sin_a if sign is _NEGATIVE else sin_a)
     check_basis(len1, 0.0, x2, y2)  # so y2 != 0, and v0 = -(v1 + v2) is (-(len1 + x2), -y2)
     v0 = tuple.__new__(Vec2, (-(len1 + x2), -y2))
     v1, v2 = tuple.__new__(Vec2, (len1, 0.0)), tuple.__new__(Vec2, (x2, y2))

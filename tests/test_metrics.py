@@ -1,6 +1,7 @@
 """Root metrics, superbase alignment distance, continuity bounds."""
 
 import math
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
@@ -22,6 +23,7 @@ from helpers import (
     reference_superbase_distance_linf,
 )
 from rootforms import (
+    LatticeError,
     LatticeSign,
     ObtuseSuperbase,
     RootForm,
@@ -224,14 +226,16 @@ class TestOneFrameRootMetrics:
         for a, b in _metric_pairs(make_rng(20261020), 3000):
             assert _same_bits(metric(a, b, q), metric(b, a, q)), (a, b, q)
 
-    @pytest.mark.parametrize("container", [list, tuple, np.array, RootForm._make],
+    # a RootForm cannot hold a bad triple (its constructor refuses it), so the
+    # bad triple reaches the metric's own check as a plain tuple next to one
+    @pytest.mark.parametrize("good_as, bad_as", [(list, list), (tuple, tuple),
+                                                 (np.array, np.array), (RootForm._make, tuple)],
                              ids=["list", "tuple", "ndarray", "RootForm"])
     @pytest.mark.parametrize("metric,reference", METRICS, ids=["plain", "oriented"])
-    def test_entry_errors_keep_their_message(self, metric, reference, container):
+    def test_entry_errors_keep_their_message(self, metric, reference, good_as, bad_as):
         good = (1.0, 2.0, 3.0)
         for bad in ((math.nan, 1.0, 2.0), (1.0, -5.0, 2.0), (1.0, 2.0, INF), (-0.5, INF, math.nan)):
-            for a, b in ((bad, good), (good, bad)):
-                a, b = container(a), container(b)
+            for a, b in ((bad_as(bad), good_as(good)), (good_as(good), bad_as(bad))):
                 assert _raised(metric, a, b, 2.0) == _raised(reference, a, b, 2.0)
         # the oriented metric shows a b given as an iterator as the tuple it read
         want = _raised(reference_root_metric_oriented, good, iter((1.0, math.nan, 2.0)))
@@ -479,6 +483,34 @@ def test_alignment_near_the_float_maximum_matches_the_full_search(e):
         got = superbase_distance_linf(s, t, allow_reflection=reflect)
         assert got == reference_superbase_distance_linf(s, t, reflect), reflect
         assert 0.0 < got < INF
+
+
+def test_alignment_past_the_square_range_raises_a_lattice_error():
+    # near 1e154 a misfit's square passes the float maximum though every
+    # squared length is finite; ** 2 then raised OverflowError, which is not
+    # a ValueError. Each pair gets a finite distance or a LatticeError
+    rng = make_rng(1)
+    outcomes = Counter()
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(153.0, 154.1)
+        sign = LatticeSign.NEGATIVE if rng.random() < 0.5 else LatticeSign.POSITIVE
+        try:
+            s = reconstruct_superbase(RootForm(*sorted(map(float, scale * rng.uniform(
+                0.2, 1.0, size=3)))), sign)
+            t = _disguised_near_duplicate(rng, s, 10.0 ** rng.uniform(-12, -1) * scale)
+        except LatticeError:
+            continue  # the pair itself overflows
+        for reflect in (True, False):
+            try:
+                got = superbase_distance_linf(s, t, allow_reflection=reflect)
+            except LatticeError as exc:
+                assert type(exc) is LatticeError, exc
+                assert str(exc) == "the squared misfits overflow; rescale the superbases"
+                outcomes["raised"] += 1
+            else:
+                assert 0.0 <= got < INF, (s, t, reflect)
+                outcomes["distance"] += 1
+    assert outcomes["raised"] > 0 and outcomes["distance"] > 0, outcomes
 
 
 class TestInverseContinuity:

@@ -47,8 +47,12 @@ class TestFullTriangle:
         )
 
     def test_zero_sum_rejected(self):
-        with pytest.raises(DegenerateLattice):
-            to_full_triangle(RootForm(0.0, 0.0, 0.0))
+        # RootForm refuses the triple when built; to_full_triangle's own check
+        # sees it as a plain tuple
+        with pytest.raises(DegenerateLattice, match="^two root products vanish$"):
+            RootForm(0.0, 0.0, 0.0)
+        with pytest.raises(DegenerateLattice, match="^root products sum to zero$"):
+            to_full_triangle((0.0, 0.0, 0.0))
 
 
 class TestOverflowingEntrySum:
@@ -79,7 +83,8 @@ class TestNonFiniteEntries:
     @pytest.mark.parametrize("project, triple", [
         (qt_coords, (1.0, 2.0, math.inf)),
         (qt_coords, (1.0, 2.0, math.nan)),
-        (lambda *rf: to_full_triangle(RootForm(*rf)), (1.0, 2.0, math.inf)),
+        # a plain tuple, which RootForm would refuse when built
+        (lambda *rf: to_full_triangle(rf), (1.0, 2.0, math.inf)),
     ], ids=["qt_coords_inf", "qt_coords_nan", "to_full_triangle_inf"])
     def test_raise_instead_of_returning_nan(self, project, triple):
         with pytest.raises(ValueError, match=r"^non-finite root product in \(1\.0, 2\.0, "):
@@ -92,8 +97,12 @@ class TestQuotientTriangle:
         assert (pt.x, pt.y) == (0.0, 0.0)
 
     def test_zero_sum_rejected(self):
-        with pytest.raises(DegenerateLattice, match="root products sum to zero"):
-            to_quotient_triangle(RootForm(0.0, 0.0, 0.0))
+        # RootForm refuses the triple when built; qt_coords, which takes plain
+        # floats, keeps its own check
+        with pytest.raises(DegenerateLattice, match="^two root products vanish$"):
+            RootForm(0.0, 0.0, 0.0)
+        with pytest.raises(DegenerateLattice, match="^root products sum to zero$"):
+            qt_coords(0.0, 0.0, 0.0)
 
     def test_hexagonal_apex(self):
         c = 1 / math.sqrt(2)

@@ -7,7 +7,9 @@ which built the results through the named-tuple constructors, sorted() and
 the LatticeSign class attribute, as references. A result must equal the
 reference's in value, in the sign bit of every entry and in type, and the
 sign must be the same LatticeSign member; an error must have the same class
-and message.
+and message, except that a basis length which overflows now fails in
+check_basis, where the reference failed in Vec2. reconstruct_superbase is
+compared on the triples RootForm accepts: it refuses the others when built.
 """
 
 from __future__ import annotations
@@ -168,25 +170,43 @@ def _signed_magnitudes(rng, size):
     return rng.choice((-1.0, 1.0), size=size) * 10.0 ** rng.uniform(-320.0, 308.0, size=size)
 
 
-def _root_forms(rng):
-    """Root forms that RootForm does not check: entries at independent scales,
-    one common scale, a zero first entry, and NaN, inf, zeros and the range's
-    ends in every position."""
-    out = [RootForm(*map(float, _signed_magnitudes(rng, 3))) for _ in range(N)]
+def _triples(rng):
+    """Triples at independent scales, at one common scale, with a zero first
+    entry, and with NaN, inf, zeros and the range's ends in every position,
+    most of them with random signs and order; then each of them sorted by
+    magnitude, which makes a root form of every finite one."""
+    out = [tuple(map(float, _signed_magnitudes(rng, 3))) for _ in range(N)]
     for scale in _signed_magnitudes(rng, N):
-        out.append(RootForm(*map(float, scale * rng.uniform(0.05, 3.0, size=3))))
+        out.append(tuple(map(float, scale * rng.uniform(0.05, 3.0, size=3))))
     for r01, r02 in zip(_signed_magnitudes(rng, N), _signed_magnitudes(rng, N)):
-        out.append(RootForm(0.0, float(r01), float(r02)))
+        out.append((0.0, float(r01), float(r02)))
     for scale in 10.0 ** rng.uniform(-320.0, 308.0, size=N):
-        out.append(RootForm(-0.0, *sorted(map(float, scale * rng.uniform(0.05, 3.0, size=2)))))
+        out.append((-0.0, *sorted(map(float, scale * rng.uniform(0.05, 3.0, size=2)))))
     values = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -2.5, 1e-320, 1e308)
-    out += [RootForm(*triple) for triple in itertools.product(values, repeat=3)]
-    return out
+    out += itertools.product(values, repeat=3)
+    out.append((1e308, 1.5e308, 1.7e308))  # finite, but hypot(1e308, 1.7e308) is not
+    return out + [tuple(sorted(map(abs, t))) for t in out]
+
+
+def _is_root_form(t) -> bool:
+    """The root-form rule, restated: finite, 0 <= r12 <= r01 <= r02 and r01 > 0."""
+    return all(map(math.isfinite, t)) and 0.0 <= t[0] <= t[1] <= t[2] and 0.0 < t[1]
+
+
+OVERFLOW = (LatticeError, "coordinates overflow: the determinant or a squared length is not finite")
 
 
 def test_reconstruct_superbase_is_bit_identical():
+    # RootForm refuses, when built, every triple that breaks the rule; the
+    # reference, which took any triple, runs on the ones it accepts
     outcomes = Counter()
-    for rf in _root_forms(make_rng(8)):
+    for triple in _triples(make_rng(8)):
+        if not _is_root_form(triple):
+            refused = _outcome(RootForm, *triple)
+            assert type(refused) is tuple and refused[0] in (ValueError, DegenerateLattice), triple
+            outcomes["refused", refused[0]] += 1
+            continue
+        rf = RootForm(*triple)
         for sign in LatticeSign:
             got = _outcome(reconstruct_superbase, rf, sign)
             want = _outcome(reference_reconstruct_superbase, rf, sign)
@@ -196,9 +216,14 @@ def test_reconstruct_superbase_is_bit_identical():
                     _assert_same_tuple(g, w, Vec2)
                 assert type(got.reduction_steps) is int and got.reduction_steps == 0
                 outcomes["built"] += 1
+            elif want[1].startswith("non-finite vector"):
+                # a length that overflows fails in check_basis, not in Vec2
+                assert got == OVERFLOW, (rf, sign)
+                outcomes["overflowing length"] += 1
             else:
                 assert got == want, (rf, sign)
                 outcomes[want[0]] += 1
     # every error the construction can raise, and results at both ends of the range
-    assert all(outcomes[k] > 0 for k in ("built", DegenerateLattice, ValueError, LatticeError,
-                                         DegenerateBasis)), outcomes
+    assert all(outcomes[k] > 0 for k in (
+        ("refused", ValueError), ("refused", DegenerateLattice), "built", "overflowing length",
+        LatticeError, DegenerateBasis)), outcomes

@@ -11,18 +11,23 @@ import pytest
 from rootforms import (
     Basis2,
     DegenerateBasis,
+    DegenerateLattice,
     DensityGrid,
     GridSpec,
     InvalidGridSpec,
     LatticeError,
     NegativeConorm,
     ObtuseSuperbase,
+    OrientedRootForm,
     QTPoint,
+    RootForm,
     Superbase2,
     Vec2,
     VoronoiDomainPolygon,
     VoronoiVector,
+    reconstruct_superbase,
     reduce_to_obtuse,
+    root_form_from_values,
     superbase_from_basis,
 )
 from rootforms.records import LatticeRecord
@@ -40,6 +45,8 @@ def _cases():
         (Superbase2, (V0, V1, V2), dict(v0=V0, v1=V1, v2=V2)),
         (ObtuseSuperbase, (V0, V1, V2, 3), dict(v0=V0, v1=V1, v2=V2, reduction_steps=3)),
         (QTPoint, (0.25, 0.125, -0.25), dict(x=0.25, y=0.125, signed_x=-0.25)),
+        (RootForm, (0.5, 1.0, 1.5), dict(r12=0.5, r01=1.0, r02=1.5)),
+        (OrientedRootForm, (0.5, 1.5, 1.0), dict(first=0.5, second=1.5, third=1.0)),
         (LatticeRecord, ("a", "basis", (2.0, 0.0, -1.0, 2.0), 7),
          dict(id="a", kind="basis", params=(2.0, 0.0, -1.0, 2.0), line=7)),
         (GridSpec, (0.0, 1.0, 0.0, 0.5, 4),
@@ -146,6 +153,9 @@ class TestTupleSemantics:
         v0, v1, v2, steps = ObtuseSuperbase(V0, V1, V2, 3)
         assert (v0, v1, v2, steps) == (V0, V1, V2, 3)
         assert QTPoint(0.25, 0.1, -0.25) == (0.25, 0.1, -0.25)
+        r12, r01, r02 = RootForm(0.0, 1.0, 1.0)
+        assert (r12, r01, r02) == (0.0, 1.0, 1.0) == RootForm(0.0, 1.0, 1.0)
+        assert OrientedRootForm(0.5, 1.5, 1.0) == (0.5, 1.5, 1.0)
         assert LatticeRecord("a", "cell2", (1.0, 1.0, 90.0)) == ("a", "cell2", (1.0, 1.0, 90.0), 0)
         assert tuple(GridSpec(0, 1, 0, 1, 2)) == (0, 1, 0, 1, 2)
         assert DensityGrid(SPEC, {}, 0) == (SPEC, {}, 0)
@@ -236,6 +246,57 @@ class TestValidation:
     def test_grid_spec(self, args, message):
         _raises_exactly(InvalidGridSpec, message, GridSpec, *args)
 
+    @pytest.mark.parametrize("f", [float, np.float64], ids=["float", "float64"])
+    @pytest.mark.parametrize("cls, message, args", [
+        (ValueError, "non-finite root product in (nan, 1.0, 2.0)", (math.nan, 1.0, 2.0)),
+        (ValueError, "non-finite root product in (0.0, 1.0, inf)", (0.0, 1.0, math.inf)),
+        (ValueError, "negative root product -2.5", (-2.5, 1.0, 1.0)),
+        (ValueError, "negative root product -1", (0.5, -1.0, 2.0)),
+        (DegenerateLattice, "two root products vanish", (0.0, 0.0, 1.0)),
+        (DegenerateLattice, "two root products vanish", (0.0, 1.0, 0.0)),
+        (ValueError, "root products (2.0, 1.0, 3.0) are not ascending", (2.0, 1.0, 3.0)),
+        (ValueError, "root products (0.5, 2.0, 1.0) are not ascending", (0.5, 2.0, 1.0)),
+    ])
+    def test_root_form(self, cls, message, args, f):
+        # the error text shows plain floats, not np.float64(...) reprs
+        _raises_exactly(cls, message, RootForm, *map(f, args))
+        assert RootForm(*map(f, (-0.0, 1.0, 1.0))) == (0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("f", [float, np.float64], ids=["float", "float64"])
+    @pytest.mark.parametrize("cls, message, args", [
+        (ValueError, "non-finite root product in (0.5, 1.0, inf)", (0.5, math.inf, 1.0)),
+        (ValueError, "negative root product -2.5", (1.0, -2.5, 2.0)),
+        (DegenerateLattice, "two root products vanish", (0.0, 1.0, 0.0)),
+        # RootForm's rule on the last two entries sorted: the first is not the smallest
+        (ValueError, "root products (1.0, 0.5, 3.0) are not ascending", (1.0, 3.0, 0.5)),
+    ])
+    def test_oriented_root_form(self, cls, message, args, f):
+        _raises_exactly(cls, message, OrientedRootForm, *map(f, args))
+        # either order of the last two entries is a chirality, not an error
+        assert OrientedRootForm(*map(f, (0.5, 1.5, 1.0))) == (0.5, 1.5, 1.0)
+        assert OrientedRootForm(*map(f, (0.5, 1.0, 1.5))) == (0.5, 1.0, 1.5)
+
+    def test_no_root_form_reaches_the_reconstruction_unchecked(self):
+        # a negative entry once lost its sign there, and an unsorted triple was
+        # taken as it came; a plain triple is made a RootForm, so it is checked too
+        for cls, message, triple in (
+                (ValueError, "negative root product -2.5", (-2.5, 1.0, 1.0)),
+                (ValueError, "root products (2.0, 1.0, 3.0) are not ascending", (2.0, 1.0, 3.0)),
+                (DegenerateLattice, "two root products vanish", (0.0, 0.0, 1.0))):
+            _raises_exactly(cls, message, RootForm, *triple)
+            _raises_exactly(cls, message, reconstruct_superbase, triple)
+        assert reconstruct_superbase((0.0, 1.0, 1.0)) == reconstruct_superbase(
+            RootForm(0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("cls, message, args", [
+        (ValueError, "non-finite root product in (1.0, 2.0, inf)", (math.inf, 2.0, 1.0)),
+        (ValueError, "negative root product -1", (2.0, 3.0, -1.0)),
+        (DegenerateLattice, "two root products vanish", (5.0, 0.0, 0.0)),
+    ])
+    def test_root_form_from_values_sorts_then_checks(self, cls, message, args):
+        _raises_exactly(cls, message, root_form_from_values, *args)
+        assert root_form_from_values(3, np.float64(1.0), 2.0) == (1.0, 2.0, 3.0)
+
     def test_grid_spec_stores_a_plain_int(self):
         spec = GridSpec(0, 1, 0, 1, np.uint8(40))
         assert type(spec.resolution) is int and spec.resolution == 40
@@ -268,10 +329,20 @@ class TestValidation:
          lambda: GridSpec(0, 1, 0, 1, 2)._replace(resolution=0)),
         (InvalidGridSpec, "grid bounds must satisfy max > min on both axes",
          lambda: GridSpec._make((0, 1, 1, 1, 2))),
+        # numpy scalars, whose messages show plain floats
+        (ValueError, "negative root product -2.5",
+         lambda: RootForm._make(np.array([-2.5, 1.0, 1.0]))),
+        (ValueError, "root products (2.0, 1.0, 3.0) are not ascending",
+         lambda: RootForm(0.5, 1.0, 3.0)._replace(r12=np.float64(2.0))),
+        (DegenerateLattice, "two root products vanish",
+         lambda: OrientedRootForm._make(np.zeros(3))),
+        (ValueError, "non-finite root product in (0.5, 1.0, nan)",
+         lambda: OrientedRootForm(0.5, 1.0, 1.5)._replace(third=np.float64(math.nan))),
     ], ids=["Vec2._make", "Vec2._replace", "Basis2._make", "Basis2._replace",
             "Superbase2._replace", "Superbase2._make", "ObtuseSuperbase._make",
             "ObtuseSuperbase._replace", "QTPoint._replace", "QTPoint._make",
-            "GridSpec._replace", "GridSpec._make"])
+            "GridSpec._replace", "GridSpec._make", "RootForm._make", "RootForm._replace",
+            "OrientedRootForm._make", "OrientedRootForm._replace"])
     def test_make_and_replace_run_the_checks(self, cls, message, build):
         _raises_exactly(cls, message, build)
 
