@@ -13,11 +13,14 @@ count, and grid's is O(occupied pixels + one band of rows) at any --res. -o
 files are UTF-8, as the input is. LATTICE_THREADS is ignored. Numbers print
 with 12 significant digits. A start imports only the modules its subcommand
 runs and adds only its arguments to the parser. Flag values may start with "-".
+The program entry, main() with no argv, calls gc.freeze() before the subcommand
+so exit skips the start-up heap; an import or a call main([...]) leaves gc alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import re
 import sys
@@ -238,7 +241,8 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    entry = argv is None  # the program's own start, not a call from a host process
+    argv = sys.argv[1:] if entry else list(argv)
     command = argv[0] if argv else None
     # each option string of the command, -h/--help included: does it take a value?
     takes = {f: "action" not in kw for fs, kw in _COMMANDS.get(command, ("", ()))[1] for f in fs}
@@ -251,6 +255,8 @@ def main(argv=None) -> int:
         if takes.get(flag) and value[:1] == "-" and re.fullmatch(_NEGATIVE_VALUE, value):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={value}"]
     args = _build_parser(command).parse_args(argv)
+    if entry:  # before the command opens a file, so a leaked one is still collected
+        gc.freeze()
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # unreadable or unwritable files, LatticeError

@@ -600,6 +600,63 @@ class TestStartup:
         # a module that the bare interpreter's site hooks load already is not the package's
         assert set(loaded[1][-1].split()) - set(loaded[0][-1].split()) == set(loads)
 
+    def test_only_the_program_entry_freezes_the_start_up_heap(self, tmp_path):
+        # gc.freeze() spares the collections at interpreter exit the start-up
+        # heap; an import or a call main([...]) leaves a host's collector alone
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS)
+        argv = ["rootform", "-i", str(src), "-o", str(tmp_path / "out.csv")]
+        probes = {
+            "import": "import rootforms, rootforms.cli\n",
+            "call": f"import rootforms.cli\nprint(rootforms.cli.main({argv!r}))\n",
+            "entry": (
+                "import runpy\n"
+                f"sys.argv = ['rootforms', *{argv!r}]\n"
+                "try:\n"
+                "    runpy.run_module('rootforms', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code)\n"
+            ),
+        }
+        frozen = {}
+        for name, probe in probes.items():
+            code = ("import gc, sys\nbefore = gc.get_freeze_count()\n" + probe
+                    + "print(before, gc.get_freeze_count())\n")
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            *codes, counts = proc.stdout.splitlines()
+            assert codes == ([] if name == "import" else ["0"]), (name, proc.stdout)
+            frozen[name] = tuple(map(int, counts.split()))
+        assert frozen["import"][1] == frozen["import"][0]
+        assert frozen["call"][1] == frozen["call"][0]
+        assert frozen["entry"][1] > frozen["entry"][0]
+
+    # a CLI child under development mode, an unclosed file an error, exits
+    # with only its own warning and error lines: nothing left open or ignored
+    @pytest.mark.parametrize("case", ["clean", "lenient", "strict"])
+    @pytest.mark.parametrize("command", ["rootform", "qt", "grid"])
+    def test_a_dev_mode_child_exits_cleanly(self, tmp_path, command, case):
+        src = tmp_path / "in.csv"
+        src.write_text(RECORDS + ("" if case == "clean" else "bad,basis,1,0,2,0\n"))
+        argv = {"rootform": ["rootform", "-i", str(src)],
+                "qt": ["qt", "-i", str(src), "-o", str(tmp_path / "q.csv")],
+                "grid": ["grid", "-i", str(src), "-o", str(tmp_path / "g.csv"),
+                         "--pgm", str(tmp_path / "g.pgm"), "--res", "16"]}[command]
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "rootforms",
+             *argv, *(["--lenient"] if case == "lenient" else [])],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+        reason = "record 'bad' (line 8): basis determinant 0 below tolerance for scale 2\n"
+        assert (proc.returncode, proc.stderr) == {
+            "clean": (0, ""), "lenient": (0, "warning: skipped " + reason),
+            "strict": (1, "error: " + reason)}[case]
+        assert (proc.stdout.startswith("id,r12,r01,r02,sign\n")
+                == (command == "rootform" and case != "strict")), proc.stdout
+
     def test_import_loads_no_submodule(self):
         probe = "import sys, rootforms; print(sorted(m for m in sys.modules if 'rootforms.' in m))"
         proc = subprocess.run(

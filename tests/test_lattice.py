@@ -32,6 +32,7 @@ from rootforms import (
     VonormTriple,
     conorms,
     conorms_from_vonorms,
+    continuity_bound,
     oriented_root_form,
     reconstruct_superbase,
     reduce_to_obtuse,
@@ -40,13 +41,15 @@ from rootforms import (
     root_metric,
     root_metric_oriented,
     squared_norm_from_conorms,
+    superbase_distance_linf,
     superbase_from_basis,
     vonorms,
     vonorms_from_conorms,
 )
 from rootforms import lattice
 from rootforms.lattice import lagrange_gauss, oriented_root_products
-from rootforms.projection import qt_coords
+from rootforms.projection import (qt_coords, to_full_triangle, to_quotient_triangle,
+                                  to_quotient_triangle_oriented)
 
 SQ3, SQ6, SQ7 = math.sqrt(3), math.sqrt(6), math.sqrt(7)
 
@@ -507,32 +510,53 @@ def _equivariance_bases():
 
 
 def _scaled_results(bases, k):
-    """Per basis: its kernel result, QT point and root metrics to the next basis,
-    all on the coordinates scaled by 2^k."""
-    runs = [oriented_root_products(*(math.ldexp(x, k) for x in b)) for b in bases]
+    """Per basis, on its coordinates scaled by 2^k: (lengths, rest). lengths maps
+    each result measured in lengths to its floats: the kernel's superbase and
+    root products, the reduced superbase's root form, the reconstructed
+    superbase, the root metrics and the L-inf distance to the next basis, and
+    the continuity bound for that distance. rest holds what carries no length:
+    the sign, the pass count and the triangle points."""
+    orders = (2.0, math.inf)
+    scaled = [[math.ldexp(x, k) for x in b] for b in bases]
+    runs = [oriented_root_products(*b) for b in scaled]
+    rebuilt = [reconstruct_superbase(RootForm(*sorted(orf)), sign) for _, orf, sign, _ in runs]
     out = []
-    for (xy, orf, sign, passes), (_, nxt, _, _) in zip(runs, runs[1:] + runs[:1]):
-        metrics = [m(orf, nxt, q) for m in (root_metric, root_metric_oriented)
-                   for q in (2.0, math.inf)]
-        out.append((xy, orf, metrics, sign, passes, qt_coords(*sorted(orf))))
+    for i, (xy, orf, sign, passes) in enumerate(runs):
+        j = (i + 1) % len(runs)
+        rf = RootForm(*sorted(orf))
+        x1, y1, x2, y2 = scaled[i]
+        distance = superbase_distance_linf(rebuilt[i], rebuilt[j])
+        lengths = {
+            "superbase": xy,
+            "root products": orf,
+            "reduced root form": root_form(reduce_to_obtuse(
+                superbase_from_basis(Basis2(Vec2(x1, y1), Vec2(x2, y2))))),
+            "reconstructed superbase": tuple(c for v in rebuilt[i][:3] for c in v),
+            "root metrics": tuple(m(orf, runs[j][1], q) for m in (root_metric, root_metric_oriented)
+                                  for q in orders),
+            "superbase distance": (distance,),
+            "continuity bound": tuple(continuity_bound(rf[2], distance, q) for q in orders),
+        }
+        rest = (sign, passes, qt_coords(*rf), to_full_triangle(rf), to_quotient_triangle(rf),
+                to_quotient_triangle_oriented(orf, sign))
+        out.append((lengths, rest))
     return out
 
 
 class TestPowerOfTwoEquivariance:
-    """Scaling a basis by 2^k is exact in floats, so every length the kernel and
-    the metrics compute scales by exactly 2^k, and every ratio, sign and pass
-    count stays put: no tolerance. The range is where it holds today; squared
-    lengths of these bases stay normal floats there."""
+    """Scaling a basis by 2^k is exact in floats, so every length the kernel,
+    the reconstruction and the metrics compute scales by exactly 2^k, and every
+    ratio, sign and pass count stays put: no tolerance. The range is where it
+    holds today; squared lengths of these bases stay normal floats there."""
 
     BASES = _equivariance_bases()
     UNSCALED = _scaled_results(BASES, 0)
 
     @pytest.mark.parametrize("k", range(-500, 501, 7))
     def test_lengths_scale_and_the_rest_stays(self, k):
-        assert any(r[4] for r in self.UNSCALED)  # some bases take reduction passes
-        for got, want in zip(_scaled_results(self.BASES, k), self.UNSCALED):
-            xy, orf, metrics, sign, passes, qt = got
-            assert xy == tuple(math.ldexp(x, k) for x in want[0])
-            assert orf == tuple(math.ldexp(r, k) for r in want[1])
-            assert metrics == [math.ldexp(d, k) for d in want[2]]
-            assert (sign, passes, qt) == want[3:]
+        assert any(rest[1] for _, rest in self.UNSCALED)  # some bases take reduction passes
+        for (lengths, rest), (want_lengths, want_rest) in zip(_scaled_results(self.BASES, k),
+                                                              self.UNSCALED):
+            for name, values in lengths.items():
+                assert values == tuple(math.ldexp(x, k) for x in want_lengths[name]), name
+            assert rest == want_rest
