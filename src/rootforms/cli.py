@@ -26,8 +26,9 @@ import re
 import sys
 
 from .errors import LatticeError
-from .lattice import (_NEGATIVE, Basis2, Vec2, _oriented_root_products, check_basis,
-                      oriented_root_form, root_form_from_values)
+from .lattice import (Basis2, Vec2, _oriented_root_products, check_basis, conorms, orient_obtuse,
+                      oriented_root_form, reduce_to_obtuse, root_form_from_values,
+                      superbase_from_basis)
 from .records import (GridSpec, LatticeRecord, _write_grid, accumulate_grid, basis_coords,
                       format_number as fmt, iter_records)
 
@@ -56,7 +57,7 @@ def _parse_q(text: str) -> float:
 
 def _process_records(args):
     """Yield (id, oriented root products, sign) per record of the input file."""
-    with open(args.input, "r", encoding="utf-8", newline="\n") as fh:
+    with open(args.input, "r", encoding="utf-8-sig", errors="surrogateescape", newline="\n") as fh:
         yield from iter_records(fh, _record_forms, args.lenient)
 
 
@@ -89,12 +90,11 @@ def _write_rows(header: str, rows, out) -> None:
 
 
 def _cmd_reduce(args) -> int:
-    v1, v2 = _basis_from_flag(args.basis)  # Basis2 has run check_basis
-    xy, orf, sign, steps = _oriented_root_products(*v1, *v2)
-    x0, y0, x1, y1, x2, y2 = xy
-    p = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))  # p12, p01, p02
+    obt = reduce_to_obtuse(superbase_from_basis(_basis_from_flag(args.basis)))
+    orf, sign = orient_obtuse(obt)
     print("v0x,v0y,v1x,v1y,v2x,v2y,p12,p01,p02,r12,r01,r02,sign,steps")
-    print(",".join([*(fmt(c) for c in (*xy, *p, *sorted(orf))), sign.value, str(steps)]))
+    cells = (*obt.v0, *obt.v1, *obt.v2, *conorms(obt), *sorted(orf))
+    print(",".join([*map(fmt, cells), sign.value, str(obt.reduction_steps)]))
     return 0
 
 
@@ -138,13 +138,12 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_qt(args) -> int:
-    from .projection import qt_coords
+    from .projection import to_quotient_triangle_oriented
 
     def rows():
         for rec_id, orf, sign in _process_records(args):
-            x, y = qt_coords(*sorted(orf))
-            x = -x if args.signed and sign is _NEGATIVE else x
-            yield f"{rec_id},{fmt(x)},{fmt(y)}"
+            x, y, signed_x = to_quotient_triangle_oriented(orf, sign)
+            yield f"{rec_id},{fmt(signed_x if args.signed else x)},{fmt(y)}"
 
     path = None if args.output == "-" else args.output  # "-" is stdout
     return _write_out(path, _write_rows, "id,x,y", rows())

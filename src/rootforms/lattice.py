@@ -36,8 +36,8 @@ from .errors import (
 # Relative determinant threshold below which a basis counts as degenerate.
 DEG_TOL = 1e-12
 # Relative factor for "this conorm is negative" in a superbase a caller builds
-# or a vonorm triple, scaled by its max(vonorms): ObtuseSuperbase and
-# conorms_from_vonorms test it.
+# or a vonorm triple, scaled by its max(vonorms): _check_conorms tests it, for
+# ObtuseSuperbase and conorms_from_vonorms.
 NEG_TOL = 1e-10
 # Relative factor for root-product ties (neutral/achiral detection); scaled
 # by the largest root product.
@@ -195,6 +195,7 @@ class Basis2(NamedTuple("Basis2", [("v1", Vec2), ("v2", Vec2)])):
 
     @property
     def det(self) -> float:
+        """Signed area of the cell spanned by (v1, v2)."""
         return self.v1.cross(self.v2)
 
 
@@ -216,10 +217,7 @@ class Superbase2(NamedTuple("Superbase2", [("v0", Vec2), ("v1", Vec2), ("v2", Ve
         _check_superbase(v0, v1, v2)
         return tuple.__new__(cls, (v0, v1, v2))
 
-    @property
-    def det(self) -> float:
-        """Signed area of the cell spanned by (v1, v2)."""
-        return self.v1.cross(self.v2)
+    det = Basis2.det
 
     def vectors(self) -> tuple[Vec2, Vec2, Vec2]:
         return (self.v0, self.v1, self.v2)
@@ -242,9 +240,15 @@ class ObtuseSuperbase(NamedTuple("ObtuseSuperbase", [("v0", Vec2), ("v1", Vec2),
         _check_superbase(v0, v1, v2)
         (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
         c = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
-        if min(c) < -NEG_TOL * max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2):
-            raise NegativeConorm(f"superbase is not obtuse: conorms {tuple(map(float, c))}")
+        n = (x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
+        _check_conorms(c, n, "superbase is not obtuse: ")
         return tuple.__new__(cls, (v0, v1, v2, reduction_steps))
+
+
+def _check_conorms(c, n, what: str) -> None:
+    """The NEG_TOL test of conorms c against vonorms n; its NegativeConorm names what.format(n)."""
+    if min(c) < -NEG_TOL * max(n):
+        raise NegativeConorm(f"{what.format(tuple(map(float, n)))}conorms {tuple(map(float, c))}")
 
 
 def superbase_from_basis(b: Basis2) -> Superbase2:
@@ -284,11 +288,7 @@ def conorms_from_vonorms(n: VonormTriple) -> ConormTriple:
         0.5 * (n0 + n1 - n2),
         0.5 * (n0 + n2 - n1),
     )
-    if min(c) < -NEG_TOL * max(n):
-        raise NegativeConorm(
-            f"vonorms {tuple(map(float, n))} violate a triangle inequality: "
-            f"conorms {tuple(map(float, c))}"
-        )
+    _check_conorms(c, n, "vonorms {} violate a triangle inequality: ")
     return c
 
 

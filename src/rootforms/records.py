@@ -1,7 +1,9 @@
 """Batch record ingestion, 3D-to-2D projections and density grids.
 
-Record files are UTF-8 text, one record per line. Only LF ends a line: a CR
-before it is whitespace, and a lone CR, FF or U+2028 stays in its line:
+Record files are UTF-8 text, one record per line. The CLI skips a leading
+byte-order mark, and a byte that is not UTF-8 fails its line (skipped under
+--lenient) unless it is in a comment. Only LF ends a line: a CR before it is
+whitespace, and a lone CR, FF or U+2028 stays in its line:
 
     id,kind,param1,param2,...
 
@@ -65,6 +67,11 @@ def parse_record_line(text: str, line: int) -> LatticeRecord | None:
     rec_id, kind, raw = fields[0].strip(), fields[1].strip(), fields[2:]
     if not rec_id:
         raise ParseError(line, "empty record id")
+    if not rec_id.isascii():  # an undecodable byte, read as a lone surrogate, does not encode
+        try:
+            rec_id.encode()
+        except UnicodeEncodeError:
+            raise ParseError(line, "record id is not valid UTF-8") from None
     arity = KINDS.get(kind)
     if arity is None:
         raise ParseError(line, f"unknown kind {kind!r}")

@@ -888,6 +888,60 @@ class TestOutputFiles:
         ).encode("utf-8")
 
 
+class TestInputDecoding:
+    """A leading byte-order mark is skipped; a byte that is not UTF-8 fails its
+    line, which --lenient skips, except in a comment."""
+
+    BOM = b"\xef\xbb\xbf"
+    BAD_ID = b"a,basis,1,0,0,1\nb\xff,basis,1,0,0,1\nc,cell2,2,2,90\n"
+
+    @pytest.mark.parametrize("command, header, row", [
+        ("rootform", "id,r12,r01,r02,sign", "a,0,1,1,neutral"),
+        ("qt", "id,x,y", "a,0,0"),
+    ])
+    def test_bom_before_a_comment_line(self, tmp_path, capsys, command, header, row):
+        src = tmp_path / "in.csv"
+        src.write_bytes(self.BOM + b"# heading\na,basis,1,0,0,1\n")
+        assert run(capsys, command, "-i", str(src), "-o", "-") == (0, f"{header}\n{row}\n", "")
+
+    def test_bom_before_the_first_id_is_not_part_of_it(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_bytes(self.BOM + b"a,basis,1,0,0,1\nb,cell2,1,1,90\n")
+        assert run(capsys, "rootform", "-i", str(src)) == (
+            0, "id,r12,r01,r02,sign\na,0,1,1,neutral\nb,0,1,1,neutral\n", "")
+
+    @pytest.mark.parametrize("command", ["rootform", "qt", "grid"])
+    def test_an_undecodable_id_fails_its_line(self, tmp_path, capsys, command):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_bytes(self.BAD_ID)
+        assert run(capsys, *_file_command(command, src, dst)) == (
+            1, "", "error: line 2: record id is not valid UTF-8\n")
+        assert not dst.exists()
+
+    def test_lenient_skips_an_undecodable_id_with_one_warning(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_bytes(self.BAD_ID)
+        assert run(capsys, "rootform", "-i", str(src), "--lenient") == (
+            0, "id,r12,r01,r02,sign\na,0,1,1,neutral\nc,0,2,2,neutral\n",
+            "warning: skipped line 2: record id is not valid UTF-8\n")
+
+    def test_undecodable_bytes_in_a_comment_are_ignored(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"# \xff\xfe heading\na,basis,1,0,0,1  # caf\xe9\n")
+        assert run(capsys, "rootform", "-i", str(src)) == (
+            0, "id,r12,r01,r02,sign\na,0,1,1,neutral\n", "")
+
+    @pytest.mark.parametrize("line, reason", [
+        (b"a,bas\xffis,1,0,0,1", "unknown kind 'bas\\udcffis'"),
+        (b"a,basis,1,0\xff,0,1", "non-numeric parameter in ['1', '0\\udcff', '0', '1']"),
+    ])
+    def test_undecodable_bytes_elsewhere_fail_as_the_field_does(self, tmp_path, capsys, line,
+                                                                reason):
+        src = tmp_path / "in.csv"
+        src.write_bytes(line + b"\n")
+        assert run(capsys, "rootform", "-i", str(src)) == (1, "", f"error: line 1: {reason}\n")
+
+
 class TestFileErrors:
     @pytest.mark.parametrize("case", ["missing-input", "missing-output-dir"])
     def test_reported_as_one_error_line(self, tmp_path, case):

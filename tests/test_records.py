@@ -83,6 +83,26 @@ class TestParsing:
         ]
 
 
+class TestUndecodableBytes:
+    """A reader that decodes with errors="surrogateescape" turns each byte that
+    is not UTF-8 into a lone surrogate; an id that holds one is refused."""
+
+    def test_parse_record_line_refuses_an_id_that_does_not_encode(self):
+        with pytest.raises(ParseError) as err:
+            parse_record_line("b\udcff,basis,1,0,0,1", 2)
+        assert (err.value.line, err.value.reason) == (2, "record id is not valid UTF-8")
+
+    def test_valid_non_ascii_ids_and_comments_parse(self):
+        assert parse_record_line("é1,basis,1,0,0,1", 3).id == "é1"
+        assert parse_record_line("# \udcff\udcfe", 4) is None
+        assert parse_record_line("a,basis,1,0,0,1 # caf\udce9", 5).id == "a"
+
+    def test_lenient_iter_records_skips_the_line(self, capsys):
+        lines = ["a,cell2,1,1,90", "b\udcff,cell2,1,1,90", "c,cell2,1,1,90"]
+        assert [r.id for r in iter_records(lines, lenient=True)] == ["a", "c"]
+        assert capsys.readouterr().err == "warning: skipped line 2: record id is not valid UTF-8\n"
+
+
 class TestIterRecords:
     LINES = ["# head", "a,cell2,1,1,90", "b,wedge,1", "", "c,ortho3,1,2,3", "d,cell2,2,2,90"]
 
