@@ -149,18 +149,12 @@ def _cmd_qt(args) -> int:
     return _write_out(path, _write_rows, "id,x,y", rows())
 
 
-_GRID_DEFAULTS = {
-    "rootpair": (0.0, 25.0, 0.0, 25.0),
-    "qt": (0.0, 0.5, 0.0, 1.0 / 3.0),
-}
-
-
 def _cmd_grid(args) -> int:
-    from .projection import qt_coords
+    from .projection import _QT_BOX, qt_coords
 
     given = (args.xmin, args.xmax, args.ymin, args.ymax)
-    bounds = (d if v is None else v for v, d in zip(given, _GRID_DEFAULTS[args.mode]))
-    spec = GridSpec(*bounds, args.res)
+    box = (0.0, 25.0, 0.0, 25.0) if args.mode == "rootpair" else _QT_BOX
+    spec = GridSpec(*(d if v is None else v for v, d in zip(given, box)), args.res)
     rows = _process_records(args)
     if args.mode == "rootpair":
         points = (sorted(orf)[1:] for _, orf, _ in rows)

@@ -2,8 +2,8 @@
 
 A root form (r12, r01, r02) divided by its entry sum gives barycentric
 coordinates in the full triangle; the sorted triples form the quotient
-triangle parameterised by x = (b02 - b01) / 2 in [0, 1/2] and y = b12 in
-[0, 1/3]. Mirror images of chiral lattices carry signed_x = -x.
+triangle, x = (b02 - b01) / 2 in [0, 1/2] and y = b12 in [0, 1/3]: the box
+_QT_BOX, which qt_coords clamps y to. Mirror images carry signed_x = -x.
 
 The inverse map rebuilds the canonical obtuse superbase: v1 on the positive
 x axis, v2 at the obtuse angle arccos(-r12^2 / (|v1| |v2|)), counterclockwise
@@ -61,8 +61,11 @@ def to_full_triangle(rf: RootForm) -> BarycentricTriple:
     return BarycentricTriple(*_shares(*rf))
 
 
+_QT_BOX = (0.0, 0.5, 0.0, 1.0 / 3.0)  # the quotient triangle's x_min, x_max, y_min, y_max
+
+
 def qt_coords(r12: float, r01: float, r02: float) -> tuple[float, float]:
-    """Quotient-triangle (x, y) of an ascending root-product triple, on floats."""
+    """Quotient-triangle (x, y) in _QT_BOX of an ascending root-product triple, on floats."""
     total = r12 + r01 + r02
     if 0.0 < total < math.inf:  # _shares' own first case, inline
         b12, b01, b02 = r12 / total, r01 / total, r02 / total
@@ -70,7 +73,7 @@ def qt_coords(r12: float, r01: float, r02: float) -> tuple[float, float]:
         b12, b01, b02 = _shares(r12, r01, r02)
     # b12 is the smallest of three shares summing to 1, so at most 1/3;
     # rounding can leave it one ulp above, outside the triangle
-    return 0.5 * (b02 - b01), min(b12, 1.0 / 3.0)
+    return 0.5 * (b02 - b01), min(b12, _QT_BOX[3])
 
 
 def to_quotient_triangle(rf: RootForm) -> QTPoint:

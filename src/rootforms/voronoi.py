@@ -6,18 +6,19 @@ shortest members. The one tie rule: a member is shortest when its length is
 within TIE_TOL of the class minimum's, relatively. In an obtuse superbase
 the class of v_k holds +-v_k and the partner +-(v_i - v_j), so it is strict
 iff |v_i - v_j| > |v_k| (1 + TIE_TOL), as ``verify_partial_sums`` expects.
-The Voronoi domain is the intersection of the half-planes p . v <= v^2 / 2
-over the Voronoi vectors.
+The Voronoi domain, the intersection of the half-planes p . v <= v^2 / 2
+over the Voronoi vectors, is counterclockwise (see ``_domain``).
 
-Input bases are first reduced with ``lattice.lagrange_gauss``, the helper
-``reduce_to_obtuse`` uses too. That only picks the enumeration basis: each
-class is searched in a ball as long as one of its members, which holds the
-class minimum whatever basis of the lattice that is, so reducing only keeps
-the enumeration small. ``verify_partial_sums`` therefore judges a superbase
-against a brute-force enumeration, not against a second reduction, which
-lets it serve as an oracle for the reduction. Reported integer coefficients
-always refer to the original basis. VoronoiVector and VoronoiDomainPolygon
-are immutable named tuples.
+Input bases are first reduced with ``lattice.lagrange_gauss``, as in
+``reduce_to_obtuse``, only to keep the enumeration small: each class is
+searched in a ball as long as one of its members, which holds the class
+minimum whatever the basis. So ``verify_partial_sums`` judges a superbase
+against a brute-force enumeration, not a second reduction, and is an oracle
+for the reduction. Reported integer coefficients refer to the input basis.
+Basis2 checks that basis once; the candidates and the clip's start square,
+small multiples of it, are built unchecked. The clip's crossing points stay
+checked: near the largest accepted coordinates p . w overflows to a NaN.
+VoronoiVector and VoronoiDomainPolygon are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def voronoi_vectors(b: Basis2) -> list[VoronoiVector]:
             half = math.sqrt(max(rho * rho - (c * delta) ** 2, 0.0))
             lo = math.floor(-c * mu - half) - 1
             for a in range(lo + (lo + pa) % 2, math.ceil(-c * mu + half) + 2, 2):
-                w = Vec2(a * x1 + c * x2, a * y1 + c * y2)
+                w = tuple.__new__(Vec2, (a * x1 + c * x2, a * y1 + c * y2))
                 n = w.norm()
                 if n <= radius:
                     candidates.append((n, a, c, w))
@@ -126,10 +127,12 @@ def voronoi_domain(b: Basis2) -> VoronoiDomainPolygon:
 
 
 def _domain(vvs: list[VoronoiVector]) -> VoronoiDomainPolygon:
-    """voronoi_domain of the lattice whose Voronoi vectors are vvs."""
+    """voronoi_domain of the lattice whose Voronoi vectors are vvs. Counterclockwise
+    by construction: the clip starts from a counterclockwise square and keeps the
+    vertex order, and the merge only drops vertices."""
     scale = max(v.vector.norm() for v in vvs)
-    half = 1.1 * scale
-    poly = [Vec2(half, half), Vec2(-half, half), Vec2(-half, -half), Vec2(half, -half)]
+    h = 1.1 * scale
+    poly = [tuple.__new__(Vec2, xy) for xy in ((h, h), (-h, h), (-h, -h), (h, -h))]
     for v in vvs:
         poly = _clip_halfplane(poly, v.vector, 0.5 * v.vector.norm_sq())
 
@@ -140,9 +143,6 @@ def _domain(vvs: list[VoronoiVector]) -> VoronoiDomainPolygon:
             merged.append(p)
     if len(merged) > 1 and (merged[0] - merged[-1]).norm() <= tol:
         merged.pop()
-
-    if VoronoiDomainPolygon(tuple(merged)).area() < 0.0:
-        merged.reverse()
     start = min(range(len(merged)), key=lambda i: (merged[i].x, merged[i].y))
     return VoronoiDomainPolygon(tuple(merged[start:] + merged[:start]))
 

@@ -413,6 +413,15 @@ class TestGrid:
         assert rows[-1][0] == 50  # bottom row, first column = pixel (0, 0)
         assert sum(sum(r) for r in rows) == 50
 
+    def test_qt_grid_defaults_to_the_projection_box(self, tmp_path, capsys):
+        from rootforms.projection import _QT_BOX
+
+        src = tmp_path / "in.csv"
+        src.write_text("s,cell2,2,2,90\n")
+        dst = tmp_path / "g.csv"
+        assert run(capsys, "grid", "-i", str(src), "-o", str(dst), "--mode", "qt", "--res", "4")[0] == 0
+        assert dst.read_text().splitlines()[0] == ",".join([*map(format_number, _QT_BOX), "4"])
+
     def test_thread_count_does_not_change_output(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "in.csv"
         src.write_text("".join(f"m{i},mono3,{4 + i % 7},9,{6 + i % 5},{70 + i % 40}\n" for i in range(60)))

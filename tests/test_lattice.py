@@ -43,8 +43,11 @@ from rootforms import (
     squared_norm_from_conorms,
     superbase_distance_linf,
     superbase_from_basis,
+    verify_partial_sums,
     vonorms,
     vonorms_from_conorms,
+    voronoi_domain,
+    voronoi_vectors,
 )
 from rootforms import lattice
 from rootforms.lattice import lagrange_gauss, oriented_root_products
@@ -543,6 +546,23 @@ def _scaled_results(bases, k):
     return out
 
 
+def _scaled_voronoi(bases, k):
+    """Per basis, on its coordinates scaled by 2^k: (lengths, rest). lengths holds
+    the coordinates of the Voronoi vectors and of the domain's vertices; rest the
+    vectors' coefficients and strictness, and verify_partial_sums of the reduced
+    superbase."""
+    out = []
+    for b in bases:
+        scaled = basis(*(math.ldexp(x, k) for x in b))
+        vvs = voronoi_vectors(scaled)
+        lengths = (tuple(c for v in vvs for c in v.vector),
+                   tuple(c for p in voronoi_domain(scaled).vertices for c in p))
+        rest = ([(v.coeffs, v.strict) for v in vvs],
+                verify_partial_sums(reduce_to_obtuse(superbase_from_basis(scaled))))
+        out.append((lengths, rest))
+    return out
+
+
 class TestPowerOfTwoEquivariance:
     """Scaling a basis by 2^k is exact in floats, so every length the kernel,
     the reconstruction and the metrics compute scales by exactly 2^k, and every
@@ -559,4 +579,18 @@ class TestPowerOfTwoEquivariance:
                                                               self.UNSCALED):
             for name, values in lengths.items():
                 assert values == tuple(math.ldexp(x, k) for x in want_lengths[name]), name
+            assert rest == want_rest
+
+    VORONOI_BASES = BASES[::4]
+    VORONOI_UNSCALED = _scaled_voronoi(VORONOI_BASES, 0)
+
+    @pytest.mark.parametrize("k", range(-500, 501, 7))
+    def test_voronoi_lengths_scale_and_the_rest_stays(self, k):
+        # the oracle builds its vectors unchecked from the checked basis: this
+        # pins their bits
+        assert all(ok for _, (_, ok) in self.VORONOI_UNSCALED)
+        for (lengths, rest), (want_lengths, want_rest) in zip(
+                _scaled_voronoi(self.VORONOI_BASES, k), self.VORONOI_UNSCALED):
+            for values, want in zip(lengths, want_lengths):
+                assert values == tuple(math.ldexp(x, k) for x in want)
             assert rest == want_rest

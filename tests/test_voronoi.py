@@ -12,6 +12,7 @@ from helpers import (
     random_unimodular,
     reference_clip_halfplane,
     reference_voronoi_vectors,
+    rotated_basis,
 )
 from rootforms import (
     Basis2,
@@ -28,6 +29,30 @@ from rootforms.voronoi import TIE_TOL, _clip_halfplane
 
 SQUARE = Basis2(Vec2(1, 0), Vec2(0, 1))
 HEX = Basis2(Vec2(1, 0), Vec2(-0.5, math.sqrt(3) / 2))
+
+
+def near_rectangular_basis(rng):
+    """Sides at 90 degrees to within 1e-10 rad, turned at random: the clip leaves
+    corners closer than VERTEX_TOL, which the merge step joins."""
+    a, b = rng.uniform(0.5, 2.0, size=2)
+    angle = math.pi / 2 + rng.uniform(-1e-10, 1e-10)
+    v1, v2 = Vec2(a, 0.0), Vec2(b * math.cos(angle), b * math.sin(angle))
+    return rotated_basis(Basis2(*((v1, v2) if rng.random() < 0.5 else (v2, v1))),
+                         rng.uniform(0.0, 2.0 * math.pi))
+
+
+def thin_basis(rng):
+    """Sides of ratio up to 1e4 at a random angle, turned at random."""
+    a, aspect, angle = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(0.0, 4.0), rng.uniform(0.3, 2.8)
+    v1, v2 = Vec2(a, 0.0), Vec2(a * aspect * math.cos(angle), a * aspect * math.sin(angle))
+    return rotated_basis(Basis2(*((v1, v2) if rng.random() < 0.5 else (v2, v1))),
+                         rng.uniform(0.0, 2.0 * math.pi))
+
+
+def orientation_bases(rng, count):
+    """count random, near-rectangular and thin bases each: the orientation tests' inputs."""
+    return [make(rng) for make in (random_basis, near_rectangular_basis, thin_basis)
+            for _ in range(count)]
 
 
 def rounded_vectors(vvs, strict):
@@ -131,9 +156,8 @@ class TestVoronoiDomain:
         assert poly.area() == pytest.approx(abs(HEX.det), rel=1e-12)
 
     def test_area_equals_cell_volume_random(self):
-        rng = make_rng(107)
-        for _ in range(100):
-            b = random_basis(rng)
+        # a clockwise cell has area -|det|
+        for b in orientation_bases(make_rng(107), 100):
             assert voronoi_domain(b).area() == pytest.approx(abs(b.det), rel=1e-9)
 
     def test_central_symmetry_random(self):
@@ -158,9 +182,14 @@ class TestVoronoiDomain:
         assert len(voronoi_domain(Basis2(Vec2(1, 0), Vec2(0, 1.7))).vertices) == 4
 
     def test_counterclockwise_order(self):
-        for b in (SQUARE, HEX, Basis2(Vec2(3, 0), Vec2(-1, 3))):
-            poly = voronoi_domain(b)
-            assert poly.area() > 0.0
+        merged = 0
+        for b in (SQUARE, HEX, Basis2(Vec2(3, 0), Vec2(-1, 3)), *orientation_bases(make_rng(131), 50)):
+            pts = voronoi_domain(b).vertices
+            merged += len(pts) == 4
+            # every turn is to the left, not only the sum of them
+            for p, q, r in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
+                assert (q - p).cross(r - q) > 0.0
+        assert merged >= 50  # the square and every near-rectangular cell
 
 
 class TestVerifyPartialSums:
@@ -264,3 +293,10 @@ class TestClipHalfplane:
         for offset in (2.0, -2.0, 0.0):
             self._assert_same(diamond, Vec2(1.0, 1.0), offset)
         assert _clip_halfplane(square, Vec2(1.0, 0.0), 1.0) == square
+
+    def test_overflowing_crossing_point_raises(self):
+        # Basis2 accepts this basis, but p . w overflows against the start square's
+        # corners and the first crossing point comes out NaN: it must not reach the cell.
+        b = Basis2(Vec2(1.3e154, 0.0), Vec2(-6.5e153, 1.1258e154))
+        with pytest.raises(ValueError, match=r"non-finite vector \(nan, nan\)"):
+            voronoi_domain(b)
