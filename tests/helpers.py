@@ -231,6 +231,39 @@ def exact_sign_outside_band(roots, err: float):
     return LatticeSign.POSITIVE if roots[1] < roots[2] else LatticeSign.NEGATIVE
 
 
+# Integer oracle: for integer coordinates below 2^24 in magnitude every product
+# and sum the kernel forms is an exact float, so the conorms of its obtuse
+# superbase are exact integers, and math.sqrt of each, which IEEE rounds
+# correctly, is the correctly rounded root product. No Fraction is needed.
+
+
+def _idot(p, q) -> int:
+    return p[0] * q[0] + p[1] * q[1]
+
+
+def int_lagrange_gauss(x1: int, y1: int, x2: int, y2: int):
+    """Lagrange-Gauss on Python ints: a reduced pair (u1, u2) of the lattice,
+    |u1| <= |u2| and |u1 . u2| <= |u1|^2 / 2."""
+    u, v = (x1, y1), (x2, y2)
+    if _idot(u, u) > _idot(v, v):
+        u, v = v, u
+    while True:
+        n = _idot(u, u)
+        t = (2 * _idot(u, v) + n) // (2 * n)  # an integer nearest u . v / |u|^2
+        v = (v[0] - t * u[0], v[1] - t * u[1])
+        if _idot(v, v) >= n:
+            return u, v
+        u, v = v, u
+
+
+def int_conorms(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:
+    """Exact conorms (p12, p01, p02) of the obtuse superbase (-(u1 + u2), u1, u2)
+    of an integer basis, with u2 negated when u1 . u2 > 0."""
+    u1, u2 = int_lagrange_gauss(x1, y1, x2, y2)
+    g12 = abs(_idot(u1, u2))
+    return g12, _idot(u1, u1) - g12, _idot(u2, u2) - g12
+
+
 def condition_number(b: Basis2) -> float:
     """kappa = max(|v1|^2, |v2|^2) / |det|: how skewed the basis is."""
     return max(b.v1.norm_sq(), b.v2.norm_sq()) / abs(b.det)
@@ -344,15 +377,17 @@ def _reference_aligned_sq(v, u, bound: float) -> float:
     return best
 
 
-# Reference Voronoi enumeration: voronoi_vectors as it was before each class
-# got its own search ball, enumerating every lattice vector up to 4 times the
-# longer reduced basis vector, O(aspect) of them. The per-class search must
-# return the same list.
+# Reference Voronoi enumeration: every lattice vector up to 4 times the longer
+# reduced basis vector, O(aspect) of them, under the one tie rule: a member
+# ties the class minimum m when its excess, in the Gram form of the reduced
+# basis, is at most TIE_TOL |u1|^2. The per-class search must return the
+# same list.
 
 
 def reference_voronoi_vectors(b: Basis2):
     (x1, y1, x2, y2), (m1, m2), _ = lagrange_gauss(b.v1.x, b.v1.y, b.v2.x, b.v2.y)
     u1, u2 = Vec2(x1, y1), Vec2(x2, y2)
+    g11, g12, g22 = u1.dot(u1), u1.dot(u2), u2.dot(u2)
     radius = 4.0 * max(u1.norm(), u2.norm())
     det = abs(u1.cross(u2))
     amax = int(math.floor(radius * u2.norm() / det)) + 1
@@ -369,8 +404,12 @@ def reference_voronoi_vectors(b: Basis2):
                 candidates[cls].append((n, a, c, w))
     out = []
     for cls in ((1, 0), (0, 1), (1, 1)):
-        nmin = min(m[0] for m in candidates[cls])
-        members = [m for m in candidates[cls] if m[0] <= nmin * (1.0 + TIE_TOL)]
+        _, ma, mc, _ = min(candidates[cls], key=lambda m: m[0])
+
+        def excess(a, c):  # over the class minimum
+            return (a * a - ma * ma) * g11 + 2 * (a * c - ma * mc) * g12 + (c * c - mc * mc) * g22
+
+        members = [m for m in candidates[cls] if excess(m[1], m[2]) <= TIE_TOL * g11]
         coeff_set = {(a, c) for _, a, c, _ in members}
         strict = len(coeff_set) == 2 and all((-a, -c) in coeff_set for a, c in coeff_set)
         for _, a, c, w in sorted(members, key=lambda m: (m[1], m[2])):

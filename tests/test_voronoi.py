@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from helpers import (
     apply_unimodular,
+    exact_obtuse_superbase,
     make_rng,
     random_basis,
     random_unimodular,
@@ -24,6 +26,7 @@ from rootforms import (
     voronoi_domain,
     voronoi_vectors,
 )
+from rootforms.errors import DegenerateBasis
 from rootforms.records import parse_record_line, project_to_2d
 from rootforms.voronoi import TIE_TOL, _clip_halfplane
 
@@ -124,16 +127,85 @@ class TestPerClassSearch:
             assert voronoi_vectors(b) == reference_voronoi_vectors(b), b
 
     def test_thin_lattice_search_stays_small(self):
-        # the full enumeration held O(aspect) vectors here (over 100 MiB)
+        # the full enumeration held O(aspect) vectors here (over 100 MiB at 1e-4);
+        # the tie band once scaled with the longest vector (1,792 vectors at 1e-7)
+        for a in (1e-4, 1e-7, 1e-11, 1.01e-12):
+            tracemalloc.start()
+            try:
+                vvs = voronoi_vectors(Basis2(Vec2(a, 0.0), Vec2(0.0, 1.0)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+            assert {(v.vector.x, v.vector.y) for v in vvs if v.strict} == {
+                (a, 0.0), (-a, 0.0), (0.0, 1.0), (0.0, -1.0)}
+            assert len(vvs) == 8
+
+
+def _exact_strict_flags(b):
+    """Sorted strict flags of b's Voronoi vectors under the tie rule, from the
+    exact obtuse superbase: a class is strict iff its conorm p gives an
+    excess 4 p above TIE_TOL times the shortest vonorm."""
+    v0, v1, v2 = exact_obtuse_superbase(b)
+    vonorm = min(x * x + y * y for x, y in (v0, v1, v2))
+    flags = []
+    for p, q in ((v1, v2), (v2, v0), (v0, v1)):
+        strict = -4 * (p[0] * q[0] + p[1] * q[1]) > Fraction(TIE_TOL) * vonorm
+        flags += [strict] * (2 if strict else 4)
+    return sorted(flags)
+
+
+def _thin_family(seed, count):
+    """Bases with sides of ratio 1e3 to 1e12 at a random angle, turned at random,
+    that Basis2 accepts (|det| > DEG_TOL max|v|^2 caps the ratio near 1e12)."""
+    rng = make_rng(seed)
+    for _ in range(count):
+        a, aspect = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(3.0, 12.0)
+        angle, turn = rng.uniform(0.3, 2.8), rng.uniform(0.0, 2.0 * math.pi)
+        v1, v2 = Vec2(a, 0.0), Vec2(a * aspect * math.cos(angle), a * aspect * math.sin(angle))
+        try:
+            yield rotated_basis(Basis2(*((v1, v2) if rng.random() < 0.5 else (v2, v1))), turn)
+        except DegenerateBasis:
+            continue
+
+
+def _integer_rectangles(seed):
+    """(1, 0), (0, N) for N = 2^0 .. 2^24 and seeded N below 2^24, each also with
+    its second vector sheared by a seeded multiple of the first."""
+    rng = make_rng(seed)
+    sizes = [2 ** k for k in range(25)] + [int(n) for n in rng.integers(2, 2 ** 24, 40)]
+    for n in sizes:
+        yield Basis2(Vec2(1.0, 0.0), Vec2(0.0, float(n)))
+        yield Basis2(Vec2(1.0, 0.0), Vec2(float(rng.integers(-1000, 1001)), float(n)))
+
+
+class TestThinLattices:
+    """One scale, the shortest vector's squared length, for the search and the
+    ties: at most 8 vectors at any aspect ratio that Basis2 accepts."""
+
+    def _assert_oracle(self, b, flags):
         tracemalloc.start()
         try:
-            vvs = voronoi_vectors(Basis2(Vec2(1e-4, 0.0), Vec2(0.0, 1.0)))
+            vvs = voronoi_vectors(b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20
-        assert rounded_vectors(vvs, strict=True) == {(1e-4, 0), (-1e-4, 0), (0, 1), (0, -1)}
-        assert len(vvs) == 8
+        assert peak < 2 ** 20, b
+        assert sorted(v.strict for v in vvs) == flags, b
+        assert verify_partial_sums(reduce_to_obtuse(superbase_from_basis(b))), b
+
+    def test_seeded_thin_family_to_aspect_1e12(self):
+        bases = list(_thin_family(9500, 300))
+        assert len(bases) >= 250
+        assert max(b.v1.norm() / b.v2.norm() + b.v2.norm() / b.v1.norm() for b in bases) > 1e11
+        for b in bases:
+            self._assert_oracle(b, _exact_strict_flags(b))
+
+    def test_integer_rectangles_have_exact_ties(self):
+        # squared lengths are exact integers: the class of u1 +- u2 is an exact
+        # tie, so 4 strict and 4 non-strict vectors whatever N
+        for b in _integer_rectangles(9501):
+            self._assert_oracle(b, [False] * 4 + [True] * 4)
 
 
 class TestVoronoiDomain:
@@ -227,9 +299,10 @@ def _near_rectangular_superbases(seed, per_scale):
 
 class TestOneTieRule:
     """The oracle judges strictness by voronoi_vectors' own rule: the class of
-    v_k is strict iff its partner v_i - v_j is longer than v_k by more than
-    TIE_TOL, relatively. Every kernel-reduced superbase passes, also where
-    the shear puts the partner near that band."""
+    v_k is strict iff the squared length of its partner v_i - v_j exceeds
+    |v_k|^2 by more than TIE_TOL times the shortest vonorm. Every
+    kernel-reduced superbase passes, also where the shear puts the partner
+    near that band."""
 
     @pytest.mark.parametrize("a,b", [("1", "1"), ("3.2", "5.1"), ("10", "10.5")])
     @pytest.mark.parametrize("gamma", ["90.00000002", "90.00000004", "90.00000006"])
@@ -245,12 +318,13 @@ class TestOneTieRule:
         for s in _near_rectangular_superbases(9301, 100):
             vvs = voronoi_vectors(Basis2(s.v1, s.v2))
             tol = 1e-9 * max(v.norm() for v in s.vectors())
+            band = TIE_TOL * min(v.norm_sq() for v in s.vectors())
 
             def near(v, u):
                 return min((v.vector - u).norm(), (v.vector + u).norm()) <= tol
 
             for target, partner in ((s.v0, s.v1 - s.v2), (s.v1, s.v2 - s.v0), (s.v2, s.v0 - s.v1)):
-                strict = partner.norm() > target.norm() * (1.0 + TIE_TOL)
+                strict = partner.norm_sq() - target.norm_sq() > band
                 members = [v for v in vvs if near(v, target) or near(v, partner)]
                 assert len(members) == (2 if strict else 4), s
                 assert all(v.strict == strict for v in members), s
