@@ -181,25 +181,31 @@ def _sqrt_fraction(c: Fraction) -> float:
     return float(Fraction(math.isqrt((n << (2 * k)) // d), 1 << k))
 
 
-def exact_obtuse_superbase(b: Basis2):
-    """Obtuse superbase (v0, v1, v2) of the lattice of b, as Fraction pairs."""
-    def dot(p, q):
-        return p[0] * q[0] + p[1] * q[1]
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1]
 
-    u1 = (Fraction(b.v1.x), Fraction(b.v1.y))
-    u2 = (Fraction(b.v2.x), Fraction(b.v2.y))
-    if dot(u1, u1) > dot(u2, u2):
+
+def exact_lagrange_gauss(u1, u2):
+    """Lagrange-Gauss on exact pairs, Python ints or Fractions: a reduced pair of
+    the same lattice, |u1| <= |u2| and |u1 . u2| <= |u1|^2 / 2."""
+    if _dot(u1, u1) > _dot(u2, u2):
         u1, u2 = u2, u1
     while True:
-        t = round(dot(u1, u2) / dot(u1, u1))
+        t = round(Fraction(_dot(u1, u2)) / _dot(u1, u1))
         u2 = (u2[0] - t * u1[0], u2[1] - t * u1[1])
-        if dot(u2, u2) >= dot(u1, u1):
-            break
+        if _dot(u2, u2) >= _dot(u1, u1):
+            return u1, u2
         u1, u2 = u2, u1
-    if dot(u1, u2) > 0:
+
+
+def exact_obtuse_superbase(b: Basis2):
+    """Obtuse superbase (v0, v1, v2) of the lattice of b, as Fraction pairs."""
+    u1, u2 = exact_lagrange_gauss((Fraction(b.v1.x), Fraction(b.v1.y)),
+                                  (Fraction(b.v2.x), Fraction(b.v2.y)))
+    if _dot(u1, u2) > 0:
         u2 = (-u2[0], -u2[1])
     v0 = (-u1[0] - u2[0], -u1[1] - u2[1])
-    assert -dot(u1, u2) >= 0 and -dot(v0, u1) >= 0 and -dot(v0, u2) >= 0
+    assert -_dot(u1, u2) >= 0 and -_dot(v0, u1) >= 0 and -_dot(v0, u2) >= 0
     return v0, u1, u2
 
 
@@ -234,34 +240,17 @@ def exact_sign_outside_band(roots, err: float):
 # Integer oracle: for integer coordinates below 2^24 in magnitude every product
 # and sum the kernel forms is an exact float, so the conorms of its obtuse
 # superbase are exact integers, and math.sqrt of each, which IEEE rounds
-# correctly, is the correctly rounded root product. No Fraction is needed.
-
-
-def _idot(p, q) -> int:
-    return p[0] * q[0] + p[1] * q[1]
-
-
-def int_lagrange_gauss(x1: int, y1: int, x2: int, y2: int):
-    """Lagrange-Gauss on Python ints: a reduced pair (u1, u2) of the lattice,
-    |u1| <= |u2| and |u1 . u2| <= |u1|^2 / 2."""
-    u, v = (x1, y1), (x2, y2)
-    if _idot(u, u) > _idot(v, v):
-        u, v = v, u
-    while True:
-        n = _idot(u, u)
-        t = (2 * _idot(u, v) + n) // (2 * n)  # an integer nearest u . v / |u|^2
-        v = (v[0] - t * u[0], v[1] - t * u[1])
-        if _idot(v, v) >= n:
-            return u, v
-        u, v = v, u
+# correctly, is the correctly rounded root product: no rational square root
+# is needed.
 
 
 def int_conorms(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:
     """Exact conorms (p12, p01, p02) of the obtuse superbase (-(u1 + u2), u1, u2)
-    of an integer basis, with u2 negated when u1 . u2 > 0."""
-    u1, u2 = int_lagrange_gauss(x1, y1, x2, y2)
-    g12 = abs(_idot(u1, u2))
-    return g12, _idot(u1, u1) - g12, _idot(u2, u2) - g12
+    of an integer basis, Lagrange-Gauss reduced on Python ints, with u2
+    negated when u1 . u2 > 0."""
+    u1, u2 = exact_lagrange_gauss((x1, y1), (x2, y2))
+    g12 = abs(_dot(u1, u2))
+    return g12, _dot(u1, u1) - g12, _dot(u2, u2) - g12
 
 
 def condition_number(b: Basis2) -> float:

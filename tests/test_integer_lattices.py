@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from helpers import int_conorms, int_lagrange_gauss, make_rng
+from helpers import exact_lagrange_gauss, int_conorms, make_rng, random_unimodular, reflected_basis
 from rootforms import Basis2, LatticeSign, Vec2, oriented_root_form
 from rootforms.errors import DegenerateBasis
 
@@ -36,19 +36,12 @@ def _random_integer_bases(seed, count, bits):
     return out
 
 
-def _unimodular_move(rng, coords, shears=4):
-    """coords moved by seeded integer shears and swaps (determinant +-1), or None
-    when a coordinate would reach 2^24."""
+def _unimodular_move(rng, coords):
+    """coords moved by a seeded unimodular matrix, or None when a coordinate would
+    reach 2^24."""
+    (a, b), (c, d) = random_unimodular(rng, kmax=3).tolist()
     x1, y1, x2, y2 = coords
-    for _ in range(shears):
-        k = int(rng.integers(-3, 4))
-        if rng.random() < 0.5:
-            x1, y1 = x1 + k * x2, y1 + k * y2
-        else:
-            x2, y2 = x2 + k * x1, y2 + k * y1
-        if rng.random() < 0.3:
-            x1, y1, x2, y2 = x2, y2, x1, y1
-    moved = (x1, y1, x2, y2)
+    moved = (a * x1 + b * x2, a * y1 + b * y2, c * x1 + d * x2, c * y1 + d * y2)
     return moved if max(map(abs, moved)) < LIMIT else None
 
 
@@ -57,11 +50,6 @@ def _rotated_90(coords, turns):
     for _ in range(turns):
         x1, y1, x2, y2 = -y1, x1, -y2, x2
     return x1, y1, x2, y2
-
-
-def _reflected(coords):
-    x1, y1, x2, y2 = coords
-    return x1, -y1, x2, -y2
 
 
 def _mirror(orf, sign):
@@ -78,10 +66,10 @@ def test_root_products_are_sqrt_of_the_exact_conorms(bits):
 
 def test_integer_reduction_is_reduced():
     for coords in _random_integer_bases(9610, 2000, 23):
-        u1, u2 = int_lagrange_gauss(*coords)
+        x1, y1, x2, y2 = coords
+        u1, u2 = exact_lagrange_gauss((x1, y1), (x2, y2))
         g11, g22 = u1[0] ** 2 + u1[1] ** 2, u2[0] ** 2 + u2[1] ** 2
         assert g11 <= g22 and 2 * abs(u1[0] * u2[0] + u1[1] * u2[1]) <= g11
-        x1, y1, x2, y2 = coords
         assert abs(u1[0] * u2[1] - u1[1] * u2[0]) == abs(x1 * y2 - y1 * x2)  # the same lattice
 
 
@@ -95,7 +83,8 @@ def test_exact_moves_keep_or_mirror_the_oriented_root_form():
             continue
         moved = _rotated_90(moved, int(rng.integers(0, 4)))
         reflect = rng.random() < 0.5
-        got = oriented_root_form(_basis(_reflected(moved) if reflect else moved))
+        basis = _basis(moved)
+        got = oriented_root_form(reflected_basis(basis) if reflect else basis)
         want = _mirror(orf, sign) if reflect else (orf, sign)
         assert (tuple(got[0]), got[1]) == (tuple(want[0]), want[1]), (coords, moved, reflect)
         checked += 1
@@ -127,8 +116,8 @@ def test_exact_ties_read_neutral():
             if moved is None:
                 continue
             moved = _rotated_90(moved, int(rng.integers(0, 4)))
-            for basis in (moved, _reflected(moved)):
-                orf, sign = oriented_root_form(_basis(basis))
+            for basis in (_basis(moved), reflected_basis(_basis(moved))):
+                orf, sign = oriented_root_form(basis)
                 assert sign is LatticeSign.NEUTRAL, (family, basis)
                 assert tuple(orf) == tuple(sorted(math.sqrt(p) for p in (a, b, c))), (family, basis)
     assert kinds == {"a = 0", "a = b", "b = c"}
