@@ -4,18 +4,17 @@ A nonzero lattice vector is a Voronoi vector iff it is shortest in its class
 modulo the doubled lattice, and strict iff the pair +-v are the only
 shortest members. The one tie rule has one scale, a shortest lattice vector
 u1: a member is shortest when its squared length exceeds the class
-minimum's by at most TIE_TOL |u1|^2. The Voronoi domain, the intersection of
-the half-planes p . v <= v^2 / 2 over the Voronoi vectors, is
-counterclockwise (see ``_domain``).
+minimum's by at most TIE_TOL |u1|^2. The Voronoi domain has one edge on the
+bisector p . v = v^2 / 2 of each strict Voronoi vector v, and its vertices
+are counterclockwise (see ``_domain``).
 
 Input bases are first reduced with ``lattice.lagrange_gauss``, as in
 ``reduce_to_obtuse``, only to keep the search small. So
 ``verify_partial_sums`` judges a superbase against a brute-force search,
 not a second reduction, and is an oracle for the reduction. Reported
 integer coefficients refer to the input basis.
-Basis2 checks that basis once; the candidates and the clip's start square,
-small multiples of it, are built unchecked. The clip's crossing points stay
-checked: near the largest accepted coordinates p . w overflows to a NaN.
+Basis2 checks that basis once; the candidates and the cell's vertices,
+computed over the shortest Voronoi vector's length, are built unchecked.
 VoronoiVector and VoronoiDomainPolygon are immutable named tuples.
 """
 
@@ -29,8 +28,6 @@ from .lattice import Basis2, Superbase2, Vec2, lagrange_gauss
 # Two class members tie when their squared lengths differ by at most this
 # times the shortest lattice vector's.
 TIE_TOL = 1e-9
-# Clipped-polygon vertices merge below this times the shortest Voronoi vector.
-VERTEX_TOL = 1e-9
 
 
 class VoronoiVector(NamedTuple):
@@ -47,12 +44,10 @@ class VoronoiDomainPolygon(NamedTuple):
     vertices: tuple[Vec2, ...]
 
     def area(self) -> float:
-        total = 0.0
         pts = self.vertices
-        for i, p in enumerate(pts):
-            q = pts[(i + 1) % len(pts)]
-            total += p.cross(q)
-        return 0.5 * total
+        # halved term by term: a cell near the largest accepted coordinates has
+        # a finite area whose doubled sum overflows
+        return sum(0.5 * p.cross(q) for p, q in zip(pts, pts[1:] + pts[:1]))
 
 
 def voronoi_vectors(b: Basis2) -> list[VoronoiVector]:
@@ -97,50 +92,34 @@ def voronoi_vectors(b: Basis2) -> list[VoronoiVector]:
     return out
 
 
-def _clip_halfplane(poly: list[Vec2], w: Vec2, offset: float) -> list[Vec2]:
-    """Keep the part of a convex polygon with p . w <= offset."""
-    result: list[Vec2] = []
-    n = len(poly)
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        dp, dq = p.dot(w) - offset, q.dot(w) - offset
-        if dp <= 0.0:
-            result.append(p)
-        if (dp <= 0.0) != (dq <= 0.0):
-            t = dp / (dp - dq)
-            result.append(Vec2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)))
-    return result
-
-
 def voronoi_domain(b: Basis2) -> VoronoiDomainPolygon:
-    """Voronoi cell of the origin: intersection of bisector half-planes.
-
-    Returns 6 vertices for a generic lattice and 4 for a rectangular one
-    (coincident corners from redundant non-strict bisectors are merged); the
-    clip's rounding can change that count on lattices of high aspect ratio.
+    """Voronoi cell of the origin: one edge on the bisector of each strict
+    Voronoi vector, so 6 vertices, or 4 when one class is non-strict.
     The vertex list starts at the lexicographically smallest vertex.
     """
     return _domain(voronoi_vectors(b))
 
 
 def _domain(vvs: list[VoronoiVector]) -> VoronoiDomainPolygon:
-    """voronoi_domain of the lattice whose Voronoi vectors are vvs. Counterclockwise
-    by construction: the clip starts from a counterclockwise square and keeps the
-    vertex order, and the merge only drops vertices."""
-    h = 1.1 * max(v.vector.norm() for v in vvs)
-    poly = [tuple.__new__(Vec2, xy) for xy in ((h, h), (-h, h), (-h, -h), (h, -h))]
-    for v in vvs:
-        poly = _clip_halfplane(poly, v.vector, 0.5 * v.vector.norm_sq())
-
-    merged: list[Vec2] = []
-    tol = VERTEX_TOL * min(v.vector.norm() for v in vvs)
-    for p in poly:
-        if not merged or (p - merged[-1]).norm() > tol:
-            merged.append(p)
-    if len(merged) > 1 and (merged[0] - merged[-1]).norm() <= tol:
-        merged.pop()
-    start = min(range(len(merged)), key=lambda i: (merged[i].x, merged[i].y))
-    return VoronoiDomainPolygon(tuple(merged[start:] + merged[:start]))
+    """voronoi_domain of the lattice whose Voronoi vectors are vvs. The strict
+    ones, divided by the shortest one's length n, are sorted by angle, so the
+    cell is counterclockwise; a non-strict bisector only touches it at a
+    vertex. The vertex of neighbours a, b is p = a / 2 + t a_perp, on a's
+    bisector, with t = b . c / (2 a x c) putting it on b's. Here c = b - a is
+    the Voronoi vector between them (strict, or non-strict when there are 4),
+    looked up by its coefficients: on a thin cell a and b are long and nearly
+    parallel, and c computed as b - a would carry b's rounding, which their
+    crossing point magnifies by the aspect ratio."""
+    n = min(v.vector.norm() for v in vvs)
+    e = {v.coeffs: (v.vector.x / n, v.vector.y / n) for v in vvs}
+    strict = sorted((v.coeffs for v in vvs if v.strict), key=lambda c: math.atan2(e[c][1], e[c][0]))
+    xy = []
+    for ca, cb in zip(strict, strict[1:] + strict[:1]):
+        (ax, ay), (bx, by), (cx, cy) = e[ca], e[cb], e[(cb[0] - ca[0], cb[1] - ca[1])]
+        t = (bx * cx + by * cy) / (2.0 * (ax * cy - ay * cx))
+        xy.append(((0.5 * ax - t * ay) * n, (0.5 * ay + t * ax) * n))
+    start = xy.index(min(xy))
+    return VoronoiDomainPolygon(tuple(tuple.__new__(Vec2, p) for p in xy[start:] + xy[:start]))
 
 
 def verify_partial_sums(s: Superbase2) -> bool:

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from helpers import exact_lagrange_gauss, int_conorms, make_rng, random_unimodular, reflected_basis
-from rootforms import Basis2, LatticeSign, Vec2, oriented_root_form
+from rootforms import Basis2, LatticeSign, Vec2, oriented_root_form, reduce_to_obtuse, superbase_from_basis
 from rootforms.errors import DegenerateBasis
 
 LIMIT = 2 ** 24
@@ -71,6 +71,22 @@ def test_integer_reduction_is_reduced():
         g11, g22 = u1[0] ** 2 + u1[1] ** 2, u2[0] ** 2 + u2[1] ** 2
         assert g11 <= g22 and 2 * abs(u1[0] * u2[0] + u1[1] * u2[1]) <= g11
         assert abs(u1[0] * u2[1] - u1[1] * u2[0]) == abs(x1 * y2 - y1 * x2)  # the same lattice
+
+
+def test_obtuse_superbase_is_exact():
+    # integer vectors of the input lattice, with its |det|, whose conorms, on
+    # Python ints, are the exact ones
+    for coords in _random_integer_bases(9615, 2000, 24):
+        x1, y1, x2, y2 = coords
+        s = reduce_to_obtuse(superbase_from_basis(_basis(coords)))
+        assert all(c.is_integer() for v in s.vectors() for c in v), coords
+        v0, v1, v2 = ((int(v.x), int(v.y)) for v in s.vectors())
+        conorms = [-(p[0] * q[0] + p[1] * q[1]) for p, q in ((v1, v2), (v0, v1), (v0, v2))]
+        assert min(conorms) >= 0 and sorted(conorms) == sorted(int_conorms(*coords)), coords
+        det = x1 * y2 - y1 * x2
+        for vx, vy in (v1, v2):  # (v1, v2) = M (b1, b2) with M integer
+            assert (vx * y2 - vy * x2) % det == 0 and (x1 * vy - y1 * vx) % det == 0, coords
+        assert abs(v1[0] * v2[1] - v1[1] * v2[0]) == abs(det), coords
 
 
 def test_exact_moves_keep_or_mirror_the_oriented_root_form():

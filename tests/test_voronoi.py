@@ -12,7 +12,6 @@ from helpers import (
     make_rng,
     random_basis,
     random_unimodular,
-    reference_clip_halfplane,
     reference_voronoi_vectors,
     rotated_basis,
 )
@@ -28,15 +27,15 @@ from rootforms import (
 )
 from rootforms.errors import DegenerateBasis
 from rootforms.records import parse_record_line, project_to_2d
-from rootforms.voronoi import TIE_TOL, _clip_halfplane
+from rootforms.voronoi import TIE_TOL
 
 SQUARE = Basis2(Vec2(1, 0), Vec2(0, 1))
 HEX = Basis2(Vec2(1, 0), Vec2(-0.5, math.sqrt(3) / 2))
 
 
 def near_rectangular_basis(rng):
-    """Sides at 90 degrees to within 1e-10 rad, turned at random: the clip leaves
-    corners closer than VERTEX_TOL, which the merge step joins."""
+    """Sides at 90 degrees to within 1e-10 rad, turned at random: for most, the
+    class of v1 +- v2 is non-strict and the cell has 4 vertices."""
     a, b = rng.uniform(0.5, 2.0, size=2)
     angle = math.pi / 2 + rng.uniform(-1e-10, 1e-10)
     v1, v2 = Vec2(a, 0.0), Vec2(b * math.cos(angle), b * math.sin(angle))
@@ -142,26 +141,46 @@ class TestPerClassSearch:
             assert len(vvs) == 8
 
 
-def _exact_strict_flags(b):
-    """Sorted strict flags of b's Voronoi vectors under the tie rule, from the
-    exact obtuse superbase: a class is strict iff its conorm p gives an
-    excess 4 p above TIE_TOL times the shortest vonorm."""
+def _exact_classes(b):
+    """(v, strict) for each class of b's exact obtuse superbase (v0, v1, v2),
+    as Fraction pairs, under the tie rule: the class of v_k is strict iff the
+    conorm p of the other two gives an excess 4 p above TIE_TOL times the
+    shortest vonorm."""
     v0, v1, v2 = exact_obtuse_superbase(b)
     vonorm = min(x * x + y * y for x, y in (v0, v1, v2))
-    flags = []
-    for p, q in ((v1, v2), (v2, v0), (v0, v1)):
-        strict = -4 * (p[0] * q[0] + p[1] * q[1]) > Fraction(TIE_TOL) * vonorm
-        flags += [strict] * (2 if strict else 4)
-    return sorted(flags)
+    return [(v, -4 * (p[0] * q[0] + p[1] * q[1]) > Fraction(TIE_TOL) * vonorm)
+            for v, (p, q) in ((v0, (v1, v2)), (v1, (v2, v0)), (v2, (v0, v1)))]
 
 
-def _thin_family(seed, count):
-    """Bases with sides of ratio 1e3 to 1e12 at a random angle, turned at random,
-    that Basis2 accepts (|det| > DEG_TOL max|v|^2 caps the ratio near 1e12)."""
+def _exact_strict_flags(b):
+    """Sorted strict flags of b's Voronoi vectors: 2 per strict class, 4 per
+    non-strict one."""
+    return sorted(f for _, strict in _exact_classes(b) for f in [strict] * (2 if strict else 4))
+
+
+def _exact_cell(b):
+    """Vertices of b's Voronoi cell as Fraction pairs, counterclockwise: the
+    circumcentres of the origin and angular neighbours among the strict
+    vectors of the exact obtuse superbase."""
+    vs = [w for v, strict in _exact_classes(b) if strict for w in (v, (-v[0], -v[1]))]
+    vs.sort(key=lambda v: math.atan2(v[1], v[0]))
+    cell = []
+    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+        a2, b2, d = ax * ax + ay * ay, bx * bx + by * by, 2 * (ax * by - ay * bx)
+        cell.append(((a2 * by - b2 * ay) / d, (b2 * ax - a2 * bx) / d))
+    return cell
+
+
+def _thin_family(seed, count, near_right=False):
+    """Bases with sides of ratio 1e3 to 1e12 at a random angle, or at 90 degrees
+    +- 10^U(-14, -2) rad when near_right, turned at random, that Basis2 accepts
+    (|det| > DEG_TOL max|v|^2 caps the ratio near 1e12)."""
     rng = make_rng(seed)
     for _ in range(count):
         a, aspect = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(3.0, 12.0)
         angle, turn = rng.uniform(0.3, 2.8), rng.uniform(0.0, 2.0 * math.pi)
+        if near_right:
+            angle = math.pi / 2 + 10.0 ** rng.uniform(-14.0, -2.0) * rng.choice([-1.0, 1.0])
         v1, v2 = Vec2(a, 0.0), Vec2(a * aspect * math.cos(angle), a * aspect * math.sin(angle))
         try:
             yield rotated_basis(Basis2(*((v1, v2) if rng.random() < 0.5 else (v2, v1))), turn)
@@ -334,43 +353,60 @@ def _bits(poly):
     return [(p.x.hex(), p.y.hex()) for p in poly]
 
 
-class TestClipHalfplane:
-    """The crossing point is written in one place; the vertices are the
-    reference's, bit for bit."""
+def _exact_det(b):
+    return abs(Fraction(b.v1.x) * Fraction(b.v2.y) - Fraction(b.v1.y) * Fraction(b.v2.x))
+
+
+# Basis2 accepts it, and its cell's vertices and doubled area are near the float maximum
+HUGE = Basis2(Vec2(1.3e154, 0.0), Vec2(-6.5e153, 1.1258e154))
+
+
+class TestClosedFormCell:
+    """Each vertex is where the bisectors of two angular neighbours among the
+    strict Voronoi vectors cross: 4 or 6 vertices at any aspect ratio, each
+    near the exact cell's."""
 
     @staticmethod
-    def _convex_polygon(rng):
-        angles = sorted(map(float, rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(3, 9)))))
-        rx, ry = map(float, rng.uniform(0.5, 3.0, 2))
-        cx, cy = map(float, rng.uniform(-1.0, 1.0, 2))
-        return [Vec2(cx + rx * math.cos(t), cy + ry * math.sin(t)) for t in angles]
+    def _off(p, q):
+        return math.hypot(float(Fraction(p.x) - q[0]), float(Fraction(p.y) - q[1]))
 
-    def _assert_same(self, poly, w, offset):
-        assert _bits(_clip_halfplane(poly, w, offset)) == _bits(
-            reference_clip_halfplane(poly, w, offset))
+    def test_thin_family_to_aspect_1e12(self):
+        bases = [*_thin_family(9700, 150), *_thin_family(9701, 150, near_right=True),
+                 *_integer_rectangles(9702)]
+        assert len(bases) >= 350
+        fours = 0
+        for b in bases:
+            vvs = voronoi_vectors(b)
+            poly = voronoi_domain(b)
+            pts = poly.vertices
+            nonstrict = any(not v.strict for v in vvs)
+            assert len(pts) == (4 if nonstrict else 6), b
+            fours += nonstrict
+            # each vertex within 8 units in the last place of the longest
+            # Voronoi vector of the exact cell's, in the same counterclockwise order
+            cell = _exact_cell(b)
+            assert len(cell) == len(pts), b
+            k = min(range(len(cell)), key=lambda i: self._off(pts[0], cell[i]))
+            tol = 2.0 ** -50 * max(v.vector.norm() for v in vvs)
+            assert max(map(self._off, pts, cell[k:] + cell[:k])) <= tol, b
+            # the area, a sum of products of coordinates of size max|v|, is off
+            # |det| by up to a few ulps times max|v|^2 / |det|, relatively
+            det = _exact_det(b)
+            bound = 1e-15 * max(b.v1.norm_sq(), b.v2.norm_sq()) / float(det)
+            assert abs(Fraction(poly.area()) - det) <= Fraction(bound) * det, b
+        assert fours > 130  # the 130 integer rectangles, and near-right thin cells
 
-    def test_seeded_polygons_and_lines(self):
-        rng = make_rng(9400)
-        for _ in range(300):
-            poly = self._convex_polygon(rng)
-            w = Vec2(*map(float, rng.normal(size=2)))
-            self._assert_same(poly, w, float(rng.uniform(-3.0, 3.0)))
-            p = poly[int(rng.integers(len(poly)))]
-            self._assert_same(poly, w, p.dot(w))  # through a vertex: dp == 0 there
+    def test_largest_accepted_coordinates_scale_by_two_to_the_k(self):
+        k = 510
+        small = Basis2(*(Vec2(math.ldexp(v.x, -k), math.ldexp(v.y, -k)) for v in (HUGE.v1, HUGE.v2)))
+        pts = voronoi_domain(HUGE).vertices
+        assert len(pts) == 6
+        assert _bits(pts) == _bits(Vec2(math.ldexp(p.x, k), math.ldexp(p.y, k))
+                                   for p in voronoi_domain(small).vertices)
 
-    def test_edge_on_the_line(self):
-        square = [Vec2(1.0, 1.0), Vec2(-1.0, 1.0), Vec2(-1.0, -1.0), Vec2(1.0, -1.0)]
-        for w in (Vec2(1.0, 0.0), Vec2(-1.0, 0.0), Vec2(0.0, 1.0), Vec2(0.0, -1.0)):
-            for offset in (1.0, -1.0, 0.0):
-                self._assert_same(square, w, offset)
-        diamond = [Vec2(2.0, 0.0), Vec2(0.0, 2.0), Vec2(-2.0, 0.0), Vec2(0.0, -2.0)]
-        for offset in (2.0, -2.0, 0.0):
-            self._assert_same(diamond, Vec2(1.0, 1.0), offset)
-        assert _clip_halfplane(square, Vec2(1.0, 0.0), 1.0) == square
-
-    def test_overflowing_crossing_point_raises(self):
-        # Basis2 accepts this basis, but p . w overflows against the start square's
-        # corners and the first crossing point comes out NaN: it must not reach the cell.
-        b = Basis2(Vec2(1.3e154, 0.0), Vec2(-6.5e153, 1.1258e154))
-        with pytest.raises(ValueError, match=r"non-finite vector \(nan, nan\)"):
-            voronoi_domain(b)
+    def test_area_near_the_float_maximum(self):
+        # |det| = 1.46e308: the sum of the doubled terms overflows, the halved ones do not
+        det = _exact_det(HUGE)
+        area = voronoi_domain(HUGE).area()
+        assert math.isfinite(area)
+        assert abs(Fraction(area) - det) <= Fraction(1e-15) * det
