@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import LatticeError
-from .lattice import ObtuseSuperbase
+from .lattice import ObtuseSuperbase, Superbase2, Vec2
 
 _INF = math.inf
 
@@ -144,13 +143,19 @@ def superbase_distance_linf(
     rotations, S - 2 hypot(sum u.v, sum u x v) with S the six squared
     lengths, which is at most 3 times the largest misfit. The search stops
     once that bound, less a margin of 1e-9 S far above its rounding, reaches
-    3 times the best, so stopping never changes the result. A bound that is
-    not finite sorts first and never stops the search.
+    3 times the best, so stopping never changes the result. For S outside
+    (2^-800, 2^800) it is 2^-k times the distance of the superbases times
+    2^k, whose largest coordinate is in [1/2, 1): no square over- or underflows.
     """
     (ax, ay), (bx, by), (cx, cy) = v = b1.vectors()
     (px, py), (qx, qy), (rx, ry) = u = b2.vectors()
     total = ((ax * ax + ay * ay) + (bx * bx + by * by) + (cx * cx + cy * cy)
              + (px * px + py * py) + (qx * qx + qy * qy) + (rx * rx + ry * ry))
+    if not 2.0 ** -800 < total < 2.0 ** 800:  # scaled copies of checked inputs, built unchecked
+        k = -math.frexp(max(abs(c) for w in (*v, *u) for c in w))[1]
+        b1, b2 = (tuple.__new__(Superbase2, [Vec2(math.ldexp(x, k), math.ldexp(y, k))
+                                             for x, y in w]) for w in (v, u))
+        return math.ldexp(superbase_distance_linf(b1, b2, allow_reflection), -k)
     mirrored = ((px, -py), (qx, -qy), (rx, -ry))
     bounds = []  # index 6m + n: mirror m (0 = u), relabelling _RELABELLINGS[n]
     # the mirror negates the y coordinates of u, here rebound in place
@@ -167,19 +172,14 @@ def superbase_distance_linf(
                    total - 2.0 * math.hypot(dqa + drb + dpc, xqa + xrb + xpc),
                    total - 2.0 * math.hypot(dra + dpb + dqc, xra + xpb + xqc),
                    total - 2.0 * math.hypot(dra + dqb + dpc, xra + xqb + xpc))
-    if not total < _INF:  # then no bound is finite, and a bound that is not finite is -inf
-        bounds = [-_INF] * len(bounds)
     margin = 1e-9 * total
     best = _INF
-    try:
-        for n in sorted(range(len(bounds)), key=bounds.__getitem__):  # stable: ties keep order
-            if bounds[n] - margin >= 3.0 * best:
-                break
-            um = u if n < 6 else mirrored
-            i, j, k = _RELABELLINGS[n % 6]
-            best = _aligned_sq(v, (um[i], um[j], um[k]), best)
-    except OverflowError:  # from ** 2 in _aligned_sq, for vectors near 1e154
-        raise LatticeError("the squared misfits overflow; rescale the superbases") from None
+    for n in sorted(range(len(bounds)), key=bounds.__getitem__):  # stable: ties keep order
+        if bounds[n] - margin >= 3.0 * best:
+            break
+        um = u if n < 6 else mirrored
+        i, j, k = _RELABELLINGS[n % 6]
+        best = _aligned_sq(v, (um[i], um[j], um[k]), best)
     return math.sqrt(best)
 
 
@@ -206,8 +206,6 @@ def _aligned_sq(v, u, bound: float) -> float:
         wx, wy = c0 * ux - s0 * uy, s0 * ux + c0 * uy
         ex, ey = wx - vx, wy - vy
         terms.append((ex * ex + ey * ey, wx * wx + wy * wy - ex * wx - ey * wy, wx * ey - wy * ex))
-    if terms[0][0] + terms[1][0] + terms[2][0] >= 3.0 * bound:
-        return bound  # the largest misfit is at least the mean, which t0 minimises
     # s = pi also stands for the crossing at tan(s/2) = infinity
     offsets = [0.0, math.pi]
     for i, (e_i, p_i, q_i) in enumerate(terms):

@@ -39,7 +39,8 @@ class VoronoiVector(NamedTuple):
 
 
 class VoronoiDomainPolygon(NamedTuple):
-    """Convex, centrally symmetric cell around the origin, vertices CCW."""
+    """Centrally symmetric cell around the origin, vertices CCW. From aspect
+    about 1e5 some turns are not to the left, as in the exact cell rounded."""
 
     vertices: tuple[Vec2, ...]
 
@@ -62,9 +63,10 @@ def voronoi_vectors(b: Basis2) -> list[VoronoiVector]:
     candidates at any aspect ratio. Its members are the admitted ones within
     TIE_TOL g11 of its minimum; it is strict when they are one +- pair.
     """
-    (x1, y1, x2, y2), (m1, m2), _ = lagrange_gauss(b.v1.x, b.v1.y, b.v2.x, b.v2.y)
+    k = -math.frexp(max(map(abs, (*b.v1, *b.v2))))[1]  # at 2^k no square under- or overflows
+    (x1, y1, x2, y2), (m1, m2), _ = lagrange_gauss(*(math.ldexp(c, k) for c in (*b.v1, *b.v2)))
     n1 = math.hypot(x1, y1)
-    e1x, e1y, e2x, e2y = x1 / n1, y1 / n1, x2 / n1, y2 / n1  # over |u1|: no square underflows
+    e1x, e1y, e2x, e2y = x1 / n1, y1 / n1, x2 / n1, y2 / n1  # in units of |u1|, the tie scale
     # the Gram form over g11 = |u1|^2 is (1, mu, rho), and rho - mu^2 = delta^2
     mu, rho, delta = e1x * e2x + e1y * e2y, e2x * e2x + e2y * e2y, abs(e1x * e2y - e1y * e2x)
     out: list[VoronoiVector] = []
@@ -87,7 +89,8 @@ def voronoi_vectors(b: Basis2) -> list[VoronoiVector]:
         members = sorted((a, c) for e, a, c in candidates if e - emin <= TIE_TOL)
         strict = len(members) == 2 and members[0] == (-members[1][0], -members[1][1])
         for a, c in members:
-            w = tuple.__new__(Vec2, (a * x1 + c * x2, a * y1 + c * y2))
+            w = tuple.__new__(Vec2, (math.ldexp(a * x1 + c * x2, -k),
+                                     math.ldexp(a * y1 + c * y2, -k)))
             out.append(VoronoiVector((a * m1[0] + c * m2[0], a * m1[1] + c * m2[1]), w, strict))
     return out
 
@@ -131,13 +134,9 @@ def verify_partial_sums(s: Superbase2) -> bool:
     partner +-(v_i - v_j), whose squared length exceeds |v_k|^2 by
     -4 v_i . v_j, so it must be strict exactly when -4 v_i . v_j > TIE_TOL
     min(vonorms). Returns False on any mismatch (an obtuse superbase must
-    always pass).
+    always pass), and raises Basis2's error where (v1, v2) is not a basis.
     """
-    try:
-        vvs = voronoi_vectors(Basis2(s.v1, s.v2))
-    except ValueError:
-        return False
-    found = {v.coeffs: v.strict for v in vvs}
+    found = {v.coeffs: v.strict for v in voronoi_vectors(Basis2(s.v1, s.v2))}
     n = min(v.norm() for v in s.vectors())
     e0, e1, e2 = (tuple.__new__(Vec2, (v.x / n, v.y / n)) for v in s.vectors())  # no underflow
     for (c1, c2), ei, ej in (((1, 1), e1, e2), ((1, 0), e2, e0), ((0, 1), e0, e1)):

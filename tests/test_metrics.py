@@ -1,7 +1,6 @@
 """Root metrics, superbase alignment distance, continuity bounds."""
 
 import math
-from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
@@ -485,12 +484,12 @@ def test_alignment_near_the_float_maximum_matches_the_full_search(e):
         assert 0.0 < got < INF
 
 
-def test_alignment_past_the_square_range_raises_a_lattice_error():
+def test_alignment_past_the_square_range_gets_a_finite_distance():
     # near 1e154 a misfit's square passes the float maximum though every
-    # squared length is finite; ** 2 then raised OverflowError, which is not
-    # a ValueError. Each pair gets a finite distance or a LatticeError
+    # squared length is finite; the search then runs on the pair scaled down
+    # by a power of two, so every pair the reconstruction accepts gets a distance
     rng = make_rng(1)
-    outcomes = Counter()
+    pairs = 0
     for _ in range(500):
         scale = 10.0 ** rng.uniform(153.0, 154.1)
         sign = LatticeSign.NEGATIVE if rng.random() < 0.5 else LatticeSign.POSITIVE
@@ -501,16 +500,29 @@ def test_alignment_past_the_square_range_raises_a_lattice_error():
         except LatticeError:
             continue  # the pair itself overflows
         for reflect in (True, False):
-            try:
-                got = superbase_distance_linf(s, t, allow_reflection=reflect)
-            except LatticeError as exc:
-                assert type(exc) is LatticeError, exc
-                assert str(exc) == "the squared misfits overflow; rescale the superbases"
-                outcomes["raised"] += 1
-            else:
-                assert 0.0 <= got < INF, (s, t, reflect)
-                outcomes["distance"] += 1
-    assert outcomes["raised"] > 0 and outcomes["distance"] > 0, outcomes
+            assert 0.0 <= superbase_distance_linf(s, t, allow_reflection=reflect) < INF
+        pairs += 1
+    assert pairs > 400, pairs
+
+
+def _perturbed_root_form_pairs(seed, count):
+    """Root forms in [0.2, 3] and each one's entries moved by up to 1e-3 relatively."""
+    rng = make_rng(seed)
+    for _ in range(count):
+        rf = random_root_form(rng)
+        moved = sorted(float(r) * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0)) for r in rf)
+        yield tuple(map(float, rf)), tuple(moved)
+
+
+@pytest.mark.parametrize("k", [-530, -520, -510, -500, 500, 509])
+def test_matched_near_duplicates_scale_by_two_to_the_k(k):
+    # the match path, reconstruction then alignment, at 2^k: the squares of
+    # its coordinates leave the normal floats, the alignment's search does not
+    for a, b in _perturbed_root_form_pairs(3300, 200):
+        unit = superbase_distance_linf(reconstruct_superbase(RootForm(*a)),
+                                       reconstruct_superbase(RootForm(*b)))
+        s, t = (reconstruct_superbase(RootForm(*(math.ldexp(r, k) for r in rf))) for rf in (a, b))
+        assert superbase_distance_linf(s, t) == math.ldexp(unit, k), (a, b)
 
 
 class TestInverseContinuity:

@@ -303,6 +303,16 @@ class TestVerifyPartialSums:
             b = apply_unimodular(random_basis(rng), random_unimodular(rng))
             assert verify_partial_sums(reduce_to_obtuse(superbase_from_basis(b)))
 
+    def test_a_basis_whose_squares_underflow_passes(self):
+        # (1e-163)^2 underflows to zero: the search runs on the basis scaled
+        # by a power of two, where no square does
+        assert verify_partial_sums(superbase_from_basis(Basis2(Vec2(1e-163, 0), Vec2(0, 1e-155))))
+
+    def test_an_unchecked_degenerate_superbase_raises(self):
+        s = tuple.__new__(Superbase2, (Vec2(-3.0, 0.0), Vec2(1.0, 0.0), Vec2(2.0, 0.0)))
+        with pytest.raises(DegenerateBasis):
+            verify_partial_sums(s)
+
 
 def _near_rectangular_superbases(seed, per_scale):
     """Kernel-reduced superbases of rectangles sheared by +-10^U(-13, -6),
@@ -403,6 +413,23 @@ class TestClosedFormCell:
         assert len(pts) == 6
         assert _bits(pts) == _bits(Vec2(math.ldexp(p.x, k), math.ldexp(p.y, k))
                                    for p in voronoi_domain(small).vertices)
+
+    def test_coordinates_whose_squares_underflow_scale_by_two_to_the_k(self):
+        # a rectangle of aspect 2^27 at 2^-541, whose shorter side's square
+        # underflows to zero: 8 vectors and 4 vertices, 2^-541 times the unit cell's
+        k = -541
+        unit = Basis2(Vec2(1.0, 0.0), Vec2(0.0, 2.0 ** 27))
+        tiny = Basis2(*(Vec2(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in unit))
+        assert tiny.v1.norm_sq() == 0.0
+        vvs, want = voronoi_vectors(tiny), voronoi_vectors(unit)
+        assert len(vvs) == 8
+        assert [(v.coeffs, v.strict) for v in vvs] == [(v.coeffs, v.strict) for v in want]
+        assert _bits(v.vector for v in vvs) == _bits(
+            Vec2(math.ldexp(v.vector.x, k), math.ldexp(v.vector.y, k)) for v in want)
+        pts = voronoi_domain(tiny).vertices
+        assert len(pts) == 4
+        assert _bits(pts) == _bits(Vec2(math.ldexp(p.x, k), math.ldexp(p.y, k))
+                                   for p in voronoi_domain(unit).vertices)
 
     def test_area_near_the_float_maximum(self):
         # |det| = 1.46e308: the sum of the doubled terms overflows, the halved ones do not
