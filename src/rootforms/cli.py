@@ -12,7 +12,8 @@ command leaves a partial file when it aborts. Memory is flat in the record
 count, and grid's is O(occupied pixels + one band of rows) at any --res. -o
 files are UTF-8, as the input is. LATTICE_THREADS is ignored. Numbers print
 with 12 significant digits. A start imports only the modules its subcommand
-runs and adds only its arguments to the parser. Flag values may start with "-".
+runs and adds only its arguments to the parser. A value flag takes the next
+argument, "-x" too, unless that is one of the command's options (-h included).
 The program entry, main() with no argv, calls gc.freeze() before the subcommand
 so exit skips the start-up heap; an import or a call main([...]) leaves gc alone.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import gc
 import io
-import re
 import sys
 
 from .errors import LatticeError
@@ -209,10 +209,6 @@ _COMMANDS = {
         _LENIENT]),
     "voronoi": ("Voronoi vectors and domain of one basis", [_BASIS]),
 }
-# a number list, inf and nan in any case included, that argparse takes for an
-# option; compiled only once a value starts with "-"
-_NEGATIVE_VALUE = r"(?i)-N(,[-+]?N)*".replace(
-    "N", r"((\d+(\.\d*)?|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)")
 
 
 def _build_parser(command=None) -> argparse.ArgumentParser:
@@ -245,7 +241,7 @@ def main(argv=None) -> int:
         if flag not in takes and flag[:2] == "--":  # as argparse abbreviates: one prefix match
             found = [f for f in takes if f.startswith(flag)]
             flag = found[0] if len(found) == 1 else None
-        if takes.get(flag) and value[:1] == "-" and re.fullmatch(_NEGATIVE_VALUE, value):
+        if takes.get(flag) and value[:1] == "-" and value.partition("=")[0] not in takes:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={value}"]
     args = _build_parser(command).parse_args(argv)
     if entry:  # before the command opens a file, so a leaked one is still collected

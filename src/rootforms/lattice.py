@@ -238,11 +238,9 @@ class ObtuseSuperbase(NamedTuple("ObtuseSuperbase", [("v0", Vec2), ("v1", Vec2),
 
     def __new__(cls, v0: Vec2, v1: Vec2, v2: Vec2, reduction_steps: int = 0):
         _check_superbase(v0, v1, v2)
-        (x0, y0), (x1, y1), (x2, y2) = v0, v1, v2
-        c = (-(x1 * x2 + y1 * y2), -(x0 * x1 + y0 * y1), -(x0 * x2 + y0 * y2))
-        n = (x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2)
-        _check_conorms(c, n, "superbase is not obtuse: ")
-        return tuple.__new__(cls, (v0, v1, v2, reduction_steps))
+        s = tuple.__new__(cls, (v0, v1, v2, reduction_steps))
+        _check_conorms(conorms(s), vonorms(s), "superbase is not obtuse: ")
+        return s
 
 
 def _check_conorms(c, n, what: str) -> None:

@@ -146,6 +146,7 @@ def superbase_distance_linf(
     3 times the best, so stopping never changes the result. For S outside
     (2^-800, 2^800) it is 2^-k times the distance of the superbases times
     2^k, whose largest coordinate is in [1/2, 1): no square over- or underflows.
+    Each square is a product, exact under 2^k: the distance scales by 2^k bit for bit.
     """
     (ax, ay), (bx, by), (cx, cy) = v = b1.vectors()
     (px, py), (qx, qy), (rx, ry) = u = b2.vectors()
@@ -228,13 +229,13 @@ def _aligned_sq(v, u, bound: float) -> float:
         # direct subtraction: no cancellation near a perfect match. An angle
         # is dropped at its first misfit >= best: its largest cannot win
         c, sn = cos(t0 + s), sin(t0 + s)
-        m0 = (c * u0x - sn * u0y - v0x) ** 2 + (sn * u0x + c * u0y - v0y) ** 2
+        m0 = (dx := c * u0x - sn * u0y - v0x) * dx + (dy := sn * u0x + c * u0y - v0y) * dy
         if m0 >= best:
             continue
-        m1 = (c * u1x - sn * u1y - v1x) ** 2 + (sn * u1x + c * u1y - v1y) ** 2
+        m1 = (dx := c * u1x - sn * u1y - v1x) * dx + (dy := sn * u1x + c * u1y - v1y) * dy
         if m1 >= best:
             continue
-        m2 = (c * u2x - sn * u2y - v2x) ** 2 + (sn * u2x + c * u2y - v2y) ** 2
+        m2 = (dx := c * u2x - sn * u2y - v2x) * dx + (dy := sn * u2x + c * u2y - v2y) * dy
         if m2 >= best:
             continue
         worst = m0 if m0 >= m1 else m1

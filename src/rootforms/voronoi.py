@@ -77,7 +77,7 @@ def voronoi_vectors(b: Basis2) -> list[VoronoiVector]:
         cmax = int(math.sqrt(TIE_TOL - excess(0, 0)) / delta) + 1
         candidates = []
         for c in range(-cmax - (cmax + kc) % 2, cmax + 1, 2):  # every c of parity kc
-            rest = TIE_TOL + (c * mu) ** 2 - excess(0, c)  # the bound on (a + c mu)^2
+            rest = TIE_TOL + (cm := c * mu) * cm - excess(0, c)  # the bound on (a + c mu)^2
             if rest < 0.0:
                 continue
             half = math.sqrt(rest)

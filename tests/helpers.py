@@ -358,7 +358,7 @@ def _reference_aligned_sq(v, u, bound: float) -> float:
     for s in offsets:
         c, sn = math.cos(t0 + s), math.sin(t0 + s)
         worst = max(
-            (c * ux - sn * uy - vx) ** 2 + (sn * ux + c * uy - vy) ** 2
+            (dx := c * ux - sn * uy - vx) * dx + (dy := sn * ux + c * uy - vy) * dy
             for (ux, uy), (vx, vy) in zip(u, v)
         )
         if worst < best:

@@ -768,14 +768,15 @@ BAD_ARGV = [
     ["reduce"], ["dist", "--q"], ["qt", "-i", "x"], ["grid", "-i", "x", "-o", "y", "--res", "a"],
     ["voronoi", "--basis"], ["rootform", "-i", "x", "reduce", "--basis", "1,0,0,1"],
     ["dist", "--rf", "1,2,3"],
-    # dash tokens that are not number lists stay options, and so does every token after "--"
-    ["reduce", "--basis", "-h"], ["reduce", "--basis", "-x"], ["reduce", "--basis", "-1-2,0,0,1"],
+    # the command's own option strings stay options, and so does every token after "--"
+    ["reduce", "--basis", "-h"],
     ["rootform", "-i", "--lenient"], ["grid", "-i", "x", "-o", "y", "--xmin", "--lenient"],
     ["reduce", "--basis", "1,0,0,1", "--", "--basis", "-1,0,0,1"],
+    # also with "=value", and so when such an option takes a dash value of its own
+    ["rootform", "-i", "--output=y"], ["rootform", "-i", "-o", "-x"],
     # a prefix of several option strings stays ambiguous, and one of -h/--help asks for help
     ["dist", "--q", "2", "--bas", "-1,0,0,1"], ["grid", "-i", "x", "-o", "y", "--xm", "-1"],
     ["rootform", "-i", "x", "--o", "-1"], ["reduce", "--h", "-1,0,0,1"],
-    ["reduce", "--basis", "-infin,0,0,1"],
 ]
 
 
@@ -815,7 +816,7 @@ class TestParserParity:
 
 
 class TestNegativeValues:
-    """A value flag takes a number list that starts with "-" as its value."""
+    """A value flag takes the next argument as its value, also one that starts with "-"."""
 
     @pytest.mark.parametrize("argv, code", [
         (["reduce", "--basis", "-1,0,0,1"], 0),
@@ -841,16 +842,25 @@ class TestNegativeValues:
         assert run(capsys, "reduce", "--basis", "-inf,0,0,1") == (
             1, "", "error: non-finite vector (-inf, 0.0)\n")
 
-    def test_pattern_is_matched_only_against_a_dash_value(self, capsys, monkeypatch, tmp_path):
-        # option tokens follow values here, but no value of a value flag starts with "-"
-        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
-        src.write_text(RECORDS)
-        calls = []
-        monkeypatch.setattr(cli, "re", type("re", (), {"fullmatch": lambda *a: calls.append(a)}))
-        assert run(capsys, "rootform", "-i", str(src), "-o", str(dst), "--oriented")[0] == 0
-        assert run(capsys, "reduce", "--basis", "1,0,0,1")[0] == 0
-        assert run(capsys, "reduce", "--bas", "1,0,0,1")[0] == 0
-        assert calls == []
+    @pytest.mark.parametrize("value, message", [
+        ("-x", "--basis needs 4 comma-separated numbers, got 1"),
+        ("-1-2,0,0,1", "--basis: non-numeric value in '-1-2,0,0,1'"),
+        ("-infin,0,0,1", "--basis: non-numeric value in '-infin,0,0,1'"),
+    ])
+    def test_a_dash_value_that_is_no_number_list_is_a_value_error(self, capsys, value, message):
+        assert run(capsys, "reduce", "--basis", value) == (1, "", f"error: {message}\n")
+
+    def test_files_whose_names_start_with_a_dash(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-a.csv").write_text(RECORDS)
+        (tmp_path / "a.csv").write_text(RECORDS)
+        dashed = run(capsys, "rootform", "-i", "-a.csv")
+        assert dashed[0] == 0 and dashed == run(capsys, "rootform", "-i", "a.csv")
+        for prefix in ("-", ""):
+            assert run(capsys, "grid", "-i", f"{prefix}a.csv", "-o", f"{prefix}g.csv",
+                       "--pgm", f"{prefix}m.pgm", "--res", "7") == (0, "", "")
+        for name in ("g.csv", "m.pgm"):
+            assert (tmp_path / f"-{name}").read_bytes() == (tmp_path / name).read_bytes()
 
     def test_reduce_row(self, capsys):
         assert run(capsys, "reduce", "--basis", "-1,0,0,1") == (0, (

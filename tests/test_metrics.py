@@ -466,6 +466,21 @@ def test_each_relabelling_sweep_is_bit_identical_to_the_reference(family):
                     assert _aligned_sq(v, perm, bound) == want, (family, perm, bound)
 
 
+@pytest.mark.parametrize("family", ALIGNMENT_FAMILIES)
+def test_alignment_scales_by_two_to_the_k_bit_for_bit(family):
+    # every misfit is squared by a product, which 2^k scales exactly, so the
+    # unscaled search inside (2^-800, 2^800) moves each pair's distance by 2^k
+    rng = make_rng(7000 + sum(map(ord, family)))
+    for s, t in _alignment_pairs(family, rng):
+        unit = [superbase_distance_linf(s, t, allow_reflection=r) for r in (True, False)]
+        for k in (*range(-12, 0), *range(1, 13)):
+            s2, t2 = (ObtuseSuperbase(*(Vec2(math.ldexp(w.x, k), math.ldexp(w.y, k))
+                                        for w in b.vectors())) for b in (s, t))
+            for reflect, d in zip((True, False), unit):
+                got = superbase_distance_linf(s2, t2, allow_reflection=reflect)
+                assert got == math.ldexp(d, k), (family, reflect, k)
+
+
 @pytest.mark.parametrize("e", [150, 153, 153.8, 154])
 def test_alignment_near_the_float_maximum_matches_the_full_search(e):
     # at e = 154 the six squared lengths sum past the float maximum, so every
