@@ -10,8 +10,9 @@ q is anything float() accepts whose value is at least 1 ("2", True and
 Decimal("2.5") are orders; NaN is not); math.inf selects the max norm. Entries
 must be finite and nonnegative, else the root metrics raise ValueError.
 
-A root-metric call at q = 2 or inf runs in one frame: q is checked inline,
-swap networks sort, RM_q+ unrolls its rotations, and only other q call _norm.
+RM_inf, RM_2 and RM_2+ run in one frame, q checked inline; other cases call
+_norm. Swap networks sort the differences for math.hypot too, whose last bit
+can depend on their order: so d(a, b) == d(b, a) bit-exactly.
 
 superbase_distance_linf ranks its 12 relabellings by a closed-form lower bound
 and runs the one-frame exact sweep only while a relabelling can still win,
@@ -36,12 +37,11 @@ def _check_order(q: float) -> float:
 
 
 def _norm(d0: float, d1: float, d2: float, q: float) -> float:
-    """L_q norm, the largest entry factored out, of an ascending finite nonnegative triple.
-
-    The callers, which handle q = 2 and inf, sort it: so d(a, b) == d(b, a) bit-exactly.
-    """
+    """L_q norm, the largest entry factored out, of an ascending finite nonnegative triple."""
     if q == 1.0:
         return d0 + d1 + d2
+    if q == _INF:
+        return d2
     if d2 == 0.0:  # nothing to factor out
         return 0.0
     return d2 * ((d0 / d2) ** q + (d1 / d2) ** q + 1.0) ** (1.0 / q)
@@ -90,24 +90,20 @@ def root_metric_oriented(a: Sequence[float], b: Sequence[float], q: float = 2.0)
     d0, d1, d2 = abs(a0 - b0), abs(a1 - b1), abs(a2 - b2)  # the three rotations of b
     e0, e1, e2 = abs(a0 - b1), abs(a1 - b2), abs(a2 - b0)
     f0, f1, f2 = abs(a0 - b2), abs(a1 - b0), abs(a2 - b1)
-    if q == _INF:
-        d = d0 if d0 >= d1 and d0 >= d2 else d1 if d1 >= d2 else d2
-        e = e0 if e0 >= e1 and e0 >= e2 else e1 if e1 >= e2 else e2
-        f = f0 if f0 >= f1 and f0 >= f2 else f1 if f1 >= f2 else f2
-    else:  # each rotation's differences sorted, as math.hypot and _norm take them
-        if d0 > d1: d0, d1 = d1, d0
-        if d1 > d2: d1, d2 = d2, d1
-        if d0 > d1: d0, d1 = d1, d0
-        if e0 > e1: e0, e1 = e1, e0
-        if e1 > e2: e1, e2 = e2, e1
-        if e0 > e1: e0, e1 = e1, e0
-        if f0 > f1: f0, f1 = f1, f0
-        if f1 > f2: f1, f2 = f2, f1
-        if f0 > f1: f0, f1 = f1, f0
-        if q == 2.0:
-            d, e, f = math.hypot(d0, d1, d2), math.hypot(e0, e1, e2), math.hypot(f0, f1, f2)
-        else:
-            d, e, f = _norm(d0, d1, d2, q), _norm(e0, e1, e2, q), _norm(f0, f1, f2, q)
+    # each rotation's differences sorted, as math.hypot and _norm take them
+    if d0 > d1: d0, d1 = d1, d0
+    if d1 > d2: d1, d2 = d2, d1
+    if d0 > d1: d0, d1 = d1, d0
+    if e0 > e1: e0, e1 = e1, e0
+    if e1 > e2: e1, e2 = e2, e1
+    if e0 > e1: e0, e1 = e1, e0
+    if f0 > f1: f0, f1 = f1, f0
+    if f1 > f2: f1, f2 = f2, f1
+    if f0 > f1: f0, f1 = f1, f0
+    if q == 2.0:
+        d, e, f = math.hypot(d0, d1, d2), math.hypot(e0, e1, e2), math.hypot(f0, f1, f2)
+    else:
+        d, e, f = _norm(d0, d1, d2, q), _norm(e0, e1, e2, q), _norm(f0, f1, f2, q)
     return d if d <= e and d <= f else e if e <= f else f
 
 
@@ -238,9 +234,5 @@ def _aligned_sq(v, u, bound: float) -> float:
         m2 = (dx := c * u2x - sn * u2y - v2x) * dx + (dy := sn * u2x + c * u2y - v2y) * dy
         if m2 >= best:
             continue
-        worst = m0 if m0 >= m1 else m1
-        if m2 > worst:
-            worst = m2
-        if worst < best:
-            best = worst
+        best = m0 if m0 >= m1 and m0 >= m2 else m1 if m1 >= m2 else m2
     return best

@@ -594,3 +594,26 @@ class TestPowerOfTwoEquivariance:
             for values, want in zip(lengths, want_lengths):
                 assert values == tuple(math.ldexp(x, k) for x in want)
             assert rest == want_rest
+
+
+def _root_metric_pairs():
+    """The oriented root forms of every 10th equivariance basis, each paired with the next."""
+    forms = [oriented_root_products(*b)[1] for b in _equivariance_bases()[::10]]
+    return list(zip(forms, forms[1:] + forms[:1]))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_root_metrics_scale_by_every_power_of_two(q):
+    """RM_q and RM_q+ of 2^k times two root forms is 2^k times their distance,
+    with no tolerance, at every k where the entries, all nine differences and
+    both results stay normal floats: [-1021 - e_min, 1024 - e_max] by frexp."""
+    checks = 0
+    for a, b in _root_metric_pairs():
+        want = (root_metric(a, b, q), root_metric_oriented(a, b, q))
+        exps = [math.frexp(x)[1] for x in (*a, *b, *(x - y for x in a for y in b), *want) if x]
+        for k in range(-1021 - min(exps), 1025 - max(exps)):
+            sa, sb = [math.ldexp(x, k) for x in a], [math.ldexp(x, k) for x in b]
+            assert (root_metric(sa, sb, q), root_metric_oriented(sa, sb, q)) == tuple(
+                math.ldexp(x, k) for x in want), (a, b, k)
+            checks += 2
+    assert checks > 100_000  # every pair spans about 2,000 powers of two

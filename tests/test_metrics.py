@@ -204,17 +204,57 @@ def _metric_pairs(rng, n):
         yield a, b
 
 
+# b is a cyclic rotation or the mirror of a: the index order of each
+_ROTATIONS_AND_MIRROR = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1))
+
+
+def _near_duplicate_pairs(rng, n):
+    """Seeded pairs at scales 1e-300 to 1e+300 whose b is a cyclic rotation or
+    the mirror of a, each entry moved by a relative 10^U(-12, -3): one hypot
+    then mixes differences many orders of magnitude apart."""
+    for i in range(n):
+        a = [float(x) for x in rng.uniform(0.0, 1.0, 3) * 10.0 ** rng.uniform(-300, 300)]
+        moves = rng.choice((-1.0, 1.0), 3) * 10.0 ** rng.uniform(-12, -3, 3)
+        order = _ROTATIONS_AND_MIRROR[i % 4]
+        yield a, [a[j] * (1.0 + float(m)) for j, m in zip(order, moves)]
+
+
+def _hypot_midpoint_pairs(rng, n):
+    """n seeded pairs at scales 2^-500 to 2^500 whose differences, sorted or
+    under cyclic rotation i % 3 of b, are (L, -M, N) with L^2 + M^2 + N^2 the
+    square of an odd 54-bit integer: their L_2 norm is a midpoint between two
+    floats, where math.hypot's last bit can depend on the order of its arguments."""
+    pairs = []
+    # about 1 draw in 15 is kept
+    for p, q, r, s, u, k in rng.integers(0, 2 ** 26, (40 * n, 6)).tolist():
+        i = len(pairs)
+        m = p * p + q * q + r * r + s * s
+        legs = (abs(p * p + q * q - r * r - s * s), 2 * abs(p * s + q * r), 2 * abs(q * s - p * r))
+        odd, m1, n1 = legs if i % 2 else (legs[0], legs[2], legs[1])
+        t = odd + m1 + 1 + 2 * (u % 2 ** 20)  # even: t - m1 and t + n1 are floats
+        if m.bit_length() != 54 or m % 2 == 0 or odd >= 2 ** 53 or t + n1 >= 2 ** 54:
+            continue
+        a, b, k = (odd, t - m1, t + n1), (0, t, t), k % 1001 - 500
+        pairs.append(([math.ldexp(x, k) for x in a],
+                      [math.ldexp(b[(j - i) % 3], k) for j in range(3)]))  # b_j at (j + i) % 3
+        if len(pairs) == n:
+            return pairs
+    raise AssertionError("too few draws kept")
+
+
 METRICS = [(root_metric, reference_root_metric),
            (root_metric_oriented, reference_root_metric_oriented)]
 
 
 class TestOneFrameRootMetrics:
-    """The one-frame root metrics return the bits of the former sorted()/_lq form."""
+    """The root metrics return the bits of the former sorted()/_lq form."""
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, INF])
     @pytest.mark.parametrize("metric,reference", METRICS, ids=["plain", "oriented"])
     def test_bit_identical_to_the_sorted_lq_form(self, metric, reference, q):
-        for a, b in _metric_pairs(make_rng(20261019), 3000):
+        for a, b in (*_metric_pairs(make_rng(20261019), 3000),
+                     *_near_duplicate_pairs(make_rng(20261021), 1000),
+                     *_hypot_midpoint_pairs(make_rng(20261023), 1000)):
             for x, y in ((a, b), (b, a)):
                 got, want = metric(x, y, q), reference(x, y, q)
                 assert _same_bits(got, want), (x, y, q, got, want)
@@ -222,7 +262,9 @@ class TestOneFrameRootMetrics:
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, INF])
     @pytest.mark.parametrize("metric", [root_metric, root_metric_oriented])
     def test_symmetry_is_bit_exact(self, metric, q):
-        for a, b in _metric_pairs(make_rng(20261020), 3000):
+        for a, b in (*_metric_pairs(make_rng(20261020), 3000),
+                     *_near_duplicate_pairs(make_rng(20261022), 1000),
+                     *_hypot_midpoint_pairs(make_rng(20261024), 1000)):
             assert _same_bits(metric(a, b, q), metric(b, a, q)), (a, b, q)
 
     # a RootForm cannot hold a bad triple (its constructor refuses it), so the
@@ -249,6 +291,19 @@ class TestOneFrameRootMetrics:
         assert any(len(set(a)) < 3 for a, _ in pairs)
         assert min(v for v in entries if v > 0.0) < 1e-290
         assert max(entries) > 1e290
+        near = list(_near_duplicate_pairs(make_rng(20261021), 1000))
+        for r, order in enumerate(_ROTATIONS_AND_MIRROR):  # each drawn, each entry moved
+            moves = [abs(y / a[j] - 1.0) for a, b in near[r::4] for j, y in zip(order, b)]
+            assert 0.0 < min(moves) < 1e-11 and 1e-4 < max(moves) <= 1.001e-3
+        entries = [v for a, _ in near for v in a]
+        assert min(entries) < 1e-290 and max(entries) > 1e290
+        # on some midpoint pairs math.hypot gives two results in two orders of the legs
+        order_bound = 0
+        for i, (a, b) in enumerate(_hypot_midpoint_pairs(make_rng(20261023), 1000)):
+            legs = [x - b[(j + i) % 3] for j, x in enumerate(a)]
+            assert legs[1] < 0.0 < legs[0] and legs == [x - y for x, y in zip(a, sorted(b))]
+            order_bound += len({math.hypot(*p) for p in permutations(legs)}) > 1
+        assert order_bound >= 10
 
 
 # Orders the former _check_order accepted, in every type float() takes.
