@@ -116,8 +116,7 @@ def continuity_bound(l: float, delta: float, q: float = 2.0) -> float:
     q = _check_order(q)
     if not (0.0 <= l < math.inf and 0.0 <= delta < math.inf):  # False for NaN too
         raise ValueError("l and delta must be finite and nonnegative")
-    factor = 1.0 if q == math.inf else 3.0 ** (1.0 / q)
-    return factor * math.sqrt(2.0 * l * delta)
+    return 3.0 ** (1.0 / q) * math.sqrt(2.0 * l * delta)
 
 
 # The relabellings (u[i], u[j], u[k]) in itertools.permutations order.

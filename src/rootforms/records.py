@@ -222,6 +222,11 @@ def emit_grid(grid: DensityGrid, fmt: str) -> bytes:
     counts scaled linearly when they exceed 65535. Keys must be ints in
     [0, resolution^2) and counts ints >= 0, else ValueError names the key.
     """
+    n = grid.spec.resolution * grid.spec.resolution
+    for k, c in grid.counts.items():
+        if not (isinstance(k, int) and 0 <= k < n and isinstance(c, int) and c >= 0):
+            raise ValueError(f"grid key {k!r} with count {c!r}: want an int key in [0, {n}) "
+                             "and an int count >= 0")
     out = io.BytesIO()
     _write_grid(grid, fmt, out)
     return out.getvalue()
@@ -230,7 +235,7 @@ def emit_grid(grid: DensityGrid, fmt: str) -> bytes:
 def _write_grid(grid: DensityGrid, fmt: str, out) -> None:
     """Write emit_grid's bytes to the binary file ``out``, one band of rows at a time.
 
-    The keys and counts are checked before the first write. A band starts as
+    The grid must be valid; emit_grid checks a caller's. A band starts as
     zero rows, takes each count below 10 (or PGM sample) in place and a b"w"
     mark for a wider count, and is written with its marks' digits spliced in.
     """
@@ -238,17 +243,13 @@ def _write_grid(grid: DensityGrid, fmt: str, out) -> None:
         raise ValueError(f"unknown grid format {fmt!r}")
     s, counts, res = grid.spec, grid.counts, grid.spec.resolution
     n = res * res
-    for k, c in counts.items():
-        if not (isinstance(k, int) and 0 <= k < n and isinstance(c, int) and c >= 0):
-            raise ValueError(f"grid key {k!r} with count {c!r}: want an int key in [0, {n}) "
-                             "and an int count >= 0")
     if fmt == "csv":
         head = ",".join([*(format_number(v) for v in s[:4]), str(res)]).encode("ascii") + b"\n"
         row = b"0," * (res - 1) + b"0\n"  # pixel k's digit is byte 2k of the body
     else:
-        max_count = max(counts.values(), default=0)
-        maxval = min(65535, max(max_count, 1))
-        scale = maxval / max_count if max_count > maxval else None  # round() takes ties to even
+        max_count = max(counts.values(), default=0) or 1
+        maxval = min(65535, max_count)
+        scale = maxval / max_count  # exactly 1.0 up to 65535; round() takes ties to even
         head = f"P5\n{res} {res}\n{maxval}\n".encode("ascii")
         row = bytes(res if maxval <= 255 else 2 * res)  # 16-bit samples are big-endian
     # A band is whole rows, at most 64 KiB (or a row) and 1/32 of the raster.
@@ -282,8 +283,7 @@ def _write_grid(grid: DensityGrid, fmt: str, out) -> None:
                     band[k - k0] = counts[k]
             else:
                 for k in keys:
-                    c = counts[k]
-                    v = c if scale is None else round(c * scale)
+                    v = round(counts[k] * scale)
                     band[2 * (k - k0)] = v >> 8
                     band[2 * (k - k0) + 1] = v & 255
             out.write(view[at:])

@@ -169,16 +169,23 @@ def oracle_reduce_to_obtuse(s: Superbase2, neg_tol: float = NEG_TOL) -> ObtuseSu
 # Exact reduction for rational inputs. Every float is a rational number, so
 # running Lagrange-Gauss and the final sign flip on Fractions gives an obtuse
 # superbase of exactly the lattice a float basis spans, with no rounding;
-# only the last square roots are rounded, to within one ulp.
+# only the last square roots are rounded, correctly.
 
 
 def _sqrt_fraction(c: Fraction) -> float:
-    """sqrt(c) for a Fraction c >= 0, within one ulp."""
+    """sqrt(c) for a Fraction c >= 0, correctly rounded.
+
+    r = isqrt(n 4^k // d) is the floor of sqrt(c) 2^k and has at least 58
+    bits, so the floats and ties at its scale are even integers; setting r's
+    last bit when the root is inexact keeps r on the exact root's side of
+    them, and int / int rounds that once."""
     if c <= 0:
         return 0.0
     n, d = c.numerator, c.denominator
-    k = max(0, (d.bit_length() - n.bit_length() + 130) // 2)
-    return float(Fraction(math.isqrt((n << (2 * k)) // d), 1 << k))
+    k = max(0, (d.bit_length() - n.bit_length() + 116) // 2)
+    q, rem = divmod(n << (2 * k), d)
+    r = math.isqrt(q)
+    return (r | (rem > 0 or r * r < q)) / (1 << k)
 
 
 def _dot(p, q):
@@ -211,7 +218,7 @@ def exact_obtuse_superbase(b: Basis2):
 
 def exact_oriented_roots(b: Basis2) -> tuple[float, float, float]:
     """Root products of b's lattice, smallest first, then in the cyclic order
-    of a positively oriented obtuse superbase; each within one ulp."""
+    of a positively oriented obtuse superbase; each correctly rounded."""
     v0, v1, v2 = exact_obtuse_superbase(b)
     c = [
         -(v1[0] * v2[0] + v1[1] * v2[1]),

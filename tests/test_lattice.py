@@ -596,6 +596,31 @@ class TestPowerOfTwoEquivariance:
             assert rest == want_rest
 
 
+def test_kernel_scales_by_every_power_of_two():
+    """At every k in [-504, 503], on every 5th equivariance basis scaled by 2^k,
+    oriented_root_products gives 2^k times the superbase and root products, bit
+    for bit, with the same sign and pass count, and reconstruct_superbase of
+    that root form gives 2^k times the unscaled reconstruction. Past that range
+    the kernel is not yet exact at every basis, so no k there is pinned."""
+    bases = _equivariance_bases()[::5]
+    unscaled = []
+    for b in bases:
+        xy, orf, sign, passes = oriented_root_products(*b)
+        rebuilt = reconstruct_superbase(RootForm(*sorted(orf)), sign)
+        unscaled.append((xy, orf, sign, passes, tuple(c for v in rebuilt[:3] for c in v)))
+    assert any(passes for *_, passes, _ in unscaled)  # some bases take reduction passes
+    for k in range(-504, 504):
+        for b, (xy, orf, sign, passes, rebuilt) in zip(bases, unscaled):
+            got_xy, got_orf, got_sign, got_passes = oriented_root_products(
+                *(math.ldexp(x, k) for x in b))
+            assert got_xy == tuple(math.ldexp(x, k) for x in xy), (b, k)
+            assert got_orf == tuple(math.ldexp(x, k) for x in orf), (b, k)
+            assert (got_sign, got_passes) == (sign, passes), (b, k)
+            got = reconstruct_superbase(RootForm(*sorted(got_orf)), got_sign)
+            assert tuple(c for v in got[:3] for c in v) == tuple(
+                math.ldexp(x, k) for x in rebuilt), (b, k)
+
+
 def _root_metric_pairs():
     """The oriented root forms of every 10th equivariance basis, each paired with the next."""
     forms = [oriented_root_products(*b)[1] for b in _equivariance_bases()[::10]]

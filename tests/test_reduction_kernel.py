@@ -15,7 +15,11 @@ stays under its step cap. The kernel itself has no step cap: its passes grow
 with the logarithm of the skew that entry validation bounds, pinned below.
 """
 
+import decimal
 import math
+import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ import pytest
 from helpers import (
     ULP,
     OracleStepCap,
+    _sqrt_fraction,
     apply_unimodular,
     condition_number,
     exact_oriented_roots,
@@ -343,3 +348,35 @@ def test_thin_lattices_are_refused_at_entry_or_reduced_exactly(
         _assert_within_kappa_bound(b, orf, sign, exact_oriented_roots(b), squared=True)
         accepted += 1
     assert accepted >= least_accepted and refused >= least_refused, (accepted, refused)
+
+
+def _sqrt_draws(rng):
+    """(rational, kind) pairs: random rationals; squares of floats and of the
+    midpoints between two floats, at scales whose decimals stay within 90
+    digits; and those squares moved by one unit of their numerator."""
+    for _ in range(8000):
+        n, d = (rng.getrandbits(rng.randrange(1, 300)) + 1 for _ in range(2))
+        yield Fraction(n, d), "random"
+    for kind in ("float", "midpoint"):
+        for _ in range(3000):
+            m = rng.getrandbits(52) | 1 << 52  # a float's 53-bit significand
+            if kind == "midpoint":
+                m = 2 * m + 1
+            s = rng.randrange(-40, 41)
+            for shift, moved in ((0, kind), (-1, "below " + kind), (1, "above " + kind)):
+                if shift == 0 or rng.random() < 0.5:
+                    yield Fraction(m * m + shift) * Fraction(2) ** (2 * s), moved
+
+
+def test_the_reference_root_is_correctly_rounded():
+    """_sqrt_fraction against decimal's square root at 90 digits, which float()
+    rounds correctly: the exact roots of the squares fit in those digits, and
+    the other roots lie at least 2^-110 relative away from any tie."""
+    kinds = Counter()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 90
+        for c, kind in _sqrt_draws(random.Random(20261022)):
+            want = float((decimal.Decimal(c.numerator) / c.denominator).sqrt())
+            assert _sqrt_fraction(c) == want, (c, kind)
+            kinds[kind] += 1
+    assert sum(kinds.values()) > 19_000 and len(kinds) == 7, kinds
